@@ -26,6 +26,7 @@ from .model import (
     find_interior_point,
     load_problem,
     problem_to_json,
+    resolve_interior_point,
     save_problem,
 )
 from .separation import (
@@ -77,6 +78,7 @@ __all__ = [
     "problem_to_json",
     "epsilon_relax",
     "find_interior_point",
+    "resolve_interior_point",
     "Cut",
     "LpModel",
     "LpSolution",

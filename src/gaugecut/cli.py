@@ -39,6 +39,7 @@ from .model import (
     constraint_values,
     epsilon_relax,
     load_problem,
+    resolve_interior_point,
 )
 from .separation import (
     check_supporting,
@@ -48,7 +49,6 @@ from .separation import (
     line_search_boundary,
 )
 from .solve import (
-    _resolve_interior_point,
     check_esh_kcp_equivalence,
     solve_bnb,
     solve_esh,
@@ -205,7 +205,7 @@ def _cmd_separate(args) -> int:
                 for j in violated]
         out = {"cuts": [cut.to_json() for cut in cuts]}
     else:
-        x0 = _resolve_interior_point(p, cfg)
+        x0 = resolve_interior_point(p, cfg.interior_point)
         gr = line_search_boundary(p.constraints, x0, xbar, cfg)
         cuts = esh_cut(p.constraints, gr)
         out = {
@@ -225,10 +225,7 @@ def _cmd_check_support(args) -> int:
     p = _load(args)
     cfg = _build_config(args)
     cut = Cut(_parse_point(args.alpha), args.beta, origin="user")
-    interior = cfg.interior_point
-    if interior is None and p.interior_point is not None:
-        interior = p.interior_point
-    verdict = check_supporting(p, cut, interior_point=interior)
+    verdict = check_supporting(p, cut, interior_point=cfg.interior_point)
     out = {
         "supporting": verdict.supporting,
         "witness": None if verdict.witness is None else [float(v) for v in verdict.witness],

@@ -30,6 +30,7 @@ __all__ = [
     "problem_to_json",
     "epsilon_relax",
     "find_interior_point",
+    "resolve_interior_point",
 ]
 
 
@@ -144,20 +145,19 @@ class SolverConfig:
     """Tolerances and limits for the solver loops.
 
     ``eps_feas`` terminates the cutting-plane loops (max constraint violation
-    allowed at the answer); ``eps_relax`` is the default shift used when a
-    problem is explicitly relaxed to create interior.  The two play different
-    roles and are kept separate on purpose.
+    allowed at the answer); ``line_search_tol`` is the relative bracket width
+    of the boundary line search.  Relaxing a problem to create interior is an
+    explicit step of its own: :func:`epsilon_relax` takes its ``eps``.
     """
 
     eps_feas: float = 1e-6
-    eps_relax: float = 1e-6
     line_search_tol: float = 1e-9
     activity_tol: float = 1e-7
     max_iters: int = 10000
     interior_point: np.ndarray | None = None
 
     def __post_init__(self):
-        for label in ("eps_feas", "eps_relax", "line_search_tol", "activity_tol"):
+        for label in ("eps_feas", "line_search_tol", "activity_tol"):
             v = getattr(self, label)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{label} must be strictly positive, got {v!r}")
@@ -386,62 +386,62 @@ def max_violation(constraints: Sequence[Constraint], x) -> tuple[float, int]:
     return float(values[j]), j
 
 
-def _interior_descent(
-    constraints: Sequence[Constraint],
-    start: np.ndarray,
-    lower: np.ndarray | None,
-    upper: np.ndarray | None,
-    max_steps: int,
-) -> tuple[np.ndarray | None, float]:
-    """Normalised subgradient descent on ``max_j g_j`` with diminishing steps,
-    projected onto the box when one is given.  Returns the first strictly
-    interior iterate, else ``(None, best max-violation seen)``."""
-    x = np.array(start, dtype=float)
-    f, j = max_violation(constraints, x)
-    if f < 0.0:
-        return x, f
-    best = f
-    if lower is not None and upper is not None:
-        scale = float(np.linalg.norm(upper - lower))
-    else:
-        scale = 2.0 * max(1.0, float(np.linalg.norm(x)))
-    step0 = max(1.0, 0.1 * scale)
-    for k in range(max_steps):
-        grad = ex.eval_grad(constraints[j].expr, x).gradient
-        norm = float(np.linalg.norm(grad))
-        if norm == 0.0:
-            break  # flat attaining constraint: no descent direction
-        x = x - (step0 / math.sqrt(k + 1.0)) * grad / norm
-        if lower is not None:
-            x = np.clip(x, lower, upper)
-        f, j = max_violation(constraints, x)
-        best = min(best, f)
-        if f < 0.0:
-            return x, f
-    return None, best
-
-
 def find_interior_point(p: Problem, start=None, max_steps: int = 500) -> np.ndarray:
-    """Best-effort search for a strict interior (Slater) point.
+    """Best-effort search for a strict interior (Slater) point: normalised
+    subgradient descent on ``max_j g_j`` with diminishing steps, projected
+    onto the box, stopping at the first strictly interior iterate.
 
-    The result always satisfies ``max_j g_j(x) < 0`` (asserted, not assumed).
     On failure an :class:`InteriorPointError` is raised; callers can relax the
     problem with :func:`epsilon_relax` and retry, or supply a point.
     """
     if start is None:
         start = 0.5 * (p.lower + p.upper)
-    start = np.asarray(start, dtype=float)
-    if start.shape != (p.n,):
+    x = np.array(start, dtype=float)
+    if x.shape != (p.n,):
         raise ValueError(f"start must have length {p.n}")
-    if np.any(start < p.lower) or np.any(start > p.upper):
+    if np.any(x < p.lower) or np.any(x > p.upper):
         raise ValueError("start must lie within the variable bounds")
-    x, best = _interior_descent(p.constraints, start, p.lower, p.upper, max_steps)
-    if x is None:
-        raise InteriorPointError(
-            f"no strict interior point found within {max_steps} steps "
-            f"(best max-constraint value {best:.3e}); relax the constraints with "
-            "epsilon_relax or supply interior_point explicitly"
-        )
-    f, _ = max_violation(p.constraints, x)
-    assert f < 0.0
-    return x
+    f, j = max_violation(p.constraints, x)
+    best = f
+    step0 = max(1.0, 0.1 * float(np.linalg.norm(p.upper - p.lower)))
+    for k in range(max_steps):
+        if f < 0.0:
+            return x
+        grad = ex.eval_grad(p.constraints[j].expr, x).gradient
+        norm = float(np.linalg.norm(grad))
+        if norm == 0.0:
+            break  # flat attaining constraint: no descent direction
+        x = np.clip(x - (step0 / math.sqrt(k + 1.0)) * grad / norm, p.lower, p.upper)
+        f, j = max_violation(p.constraints, x)
+        best = min(best, f)
+    if f < 0.0:
+        return x
+    raise InteriorPointError(
+        f"no strict interior point found within {max_steps} steps "
+        f"(best max-constraint value {best:.3e}); relax the constraints with "
+        "epsilon_relax or supply interior_point explicitly"
+    )
+
+
+def resolve_interior_point(p: Problem, point=None) -> np.ndarray:
+    """The interior point that fixes the gauge of ``p``: the explicit
+    ``point`` (a solver config's or a caller's), else the problem file's,
+    else :func:`find_interior_point`.  Supplied points are validated, not
+    trusted: :class:`InteriorPointError` names the source of a bad one."""
+    for source, cand in (("config/argument", point), ("problem file", p.interior_point)):
+        if cand is None:
+            continue
+        cand = np.asarray(cand, dtype=float)
+        if cand.shape != (p.n,) or np.any(cand < p.lower) or np.any(cand > p.upper):
+            raise InteriorPointError(
+                f"interior point from {source} lies outside the variable bounds"
+            )
+        f, _ = max_violation(p.constraints, cand)
+        if f >= 0.0:
+            raise InteriorPointError(
+                f"interior point from {source} is not strictly interior "
+                f"(max_j g_j = {f:.6g}); relax the constraints with "
+                "epsilon_relax or supply a different point"
+            )
+        return cand
+    return find_interior_point(p)

@@ -16,7 +16,10 @@ The line search simultaneously evaluates the gauge (Minkowski functional) of
 ``lambda*`` gives gauge value ``1/lambda*``.  :func:`gauge_values` extends the
 evaluation to arbitrary points (feasible ones get ``lambda* > 1``), which is
 what :func:`gauge_subgradient_check` uses to certify that a normalized
-supporting cut is a subgradient inequality of the gauge.
+supporting cut is a subgradient inequality of the gauge.  Both run on one
+ray-crossing kernel.  ``C`` lies inside every ``g_j``'s domain, so the
+kernel treats a point where some ``g_j`` cannot be evaluated
+(:class:`~gaugecut.errors.EvalDomainError`) as a point outside ``C``.
 
 :func:`affine_on_segment` and :func:`classify_quadratic` decide when plain
 linearization cuts happen to be supporting: exactly when the constraint is
@@ -35,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import PreconditionError, SeparationError
+from .errors import EvalDomainError, PreconditionError, SeparationError
 from .lp import Cut
 from .model import (
     Constraint,
@@ -44,6 +47,7 @@ from .model import (
     SolverConfig,
     constraint_values,
     max_violation,
+    resolve_interior_point,
 )
 
 __all__ = [
@@ -61,7 +65,8 @@ __all__ = [
 
 # |max_j g_j| allowed at a returned boundary point
 BOUNDARY_TOL = 1e-9
-LINE_SEARCH_MAX_STEPS = 200
+_DOUBLINGS = 60
+_BISECTIONS = 100
 
 _SUPPORT_TOL = 1e-7
 
@@ -141,50 +146,35 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
     """Bisect ``max_j g_j`` to zero on the segment from the strict interior
     point ``x0`` to the infeasible ``xbar``.
 
-    Bisection is used on purpose: it needs only the sign change guaranteed by
-    the preconditions, so it also handles non-convex constraint functions
-    whose restriction to the segment is not monotone.  The caller is
-    responsible for keeping the segment inside the expressions' domain (both
-    endpoints inside the variable box suffices for box-safe expressions).
+    This is the gauge evaluation of :func:`gauge_values` for one ray, run to
+    the relative bracket width ``cfg.line_search_tol`` and on until
+    ``max_j g_j >= -BOUNDARY_TOL`` at the returned point.  Bisection is used
+    on purpose: it needs only the sign change guaranteed by the
+    preconditions, so it also handles non-convex constraint functions whose
+    restriction to the segment is not monotone.  An ``xbar`` outside the
+    constraints' domain counts as infeasible.
     """
     cons = as_constraints(constraints)
     if cfg is None:
         cfg = SolverConfig()
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _strict_interior(cons, x0)
     xbar = np.asarray(xbar, dtype=float)
-    f0, _ = max_violation(cons, x0)
-    if f0 >= 0.0:
-        raise PreconditionError(
-            f"interior point is not strictly interior (max_j g_j = {f0:.6g})"
-        )
-    f1, _ = max_violation(cons, xbar)
+    f1 = float(_fmax_rows(cons, xbar[None, :])[0])
     if f1 <= 0.0:
         raise PreconditionError(
             f"point to separate is feasible (max_j g_j = {f1:.6g})"
         )
-    d = xbar - x0
-    lo, f_lo = 0.0, f0
-    hi = 1.0
-    for _ in range(LINE_SEARCH_MAX_STEPS):
-        if hi - lo <= cfg.line_search_tol and f_lo >= -BOUNDARY_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        fm, _ = max_violation(cons, x0 + mid * d)
-        if fm > 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, fm
-    if hi - lo > cfg.line_search_tol or f_lo < -BOUNDARY_TOL:
+    t_star, ok = _boundary_crossings(
+        cons, x0, (xbar - x0)[None, :], tol=cfg.line_search_tol, settle=True
+    )
+    if not ok[0]:
         raise SeparationError(
-            f"line search did not reach tolerance within {LINE_SEARCH_MAX_STEPS} "
-            f"bisections (interval width {hi - lo:.3e}, f = {f_lo:.3e})"
+            f"line search did not reach |max_j g_j| <= {BOUNDARY_TOL:g} within "
+            f"{_BISECTIONS} bisections; the interior point may lie on the "
+            "boundary within tolerance"
         )
-    if lo == 0.0:
-        raise SeparationError(
-            "interior point already lies on the boundary within tolerance; "
-            "cannot take a gauge value there"
-        )
-    xhat = x0 + lo * d
+    lo = float(t_star[0])
+    xhat = x0 + lo * (xbar - x0)
     gvals = constraint_values(cons, xhat)
     active = [j for j in range(len(cons)) if gvals[j] >= -cfg.activity_tol]
     if not active:
@@ -230,48 +220,82 @@ def esh_cut(constraints, gr: GaugeResult) -> list[Cut]:
 # ---------------------------------------------------------------------------
 
 
-def _fmax_batch(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
-    values = np.stack([ex.eval_value(con.expr, P) for con in cons])
-    return values.max(axis=0)
+def _strict_interior(cons: Sequence[Constraint], x0) -> np.ndarray:
+    x0 = np.asarray(x0, dtype=float)
+    f0, _ = max_violation(cons, x0)
+    if f0 >= 0.0:
+        raise PreconditionError(
+            f"interior point is not strictly interior (max_j g_j = {f0:.6g})"
+        )
+    return x0
+
+
+def _fmax_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
+    """``max_j g_j`` at each row of ``P``; a row outside some ``g_j``'s
+    domain is outside ``C`` and reads ``+inf``.  Rows are evaluated one by
+    one only after the batch raised, so such a row leaves the others'
+    values unchanged."""
+    try:
+        return constraint_values(cons, P).max(axis=0)
+    except EvalDomainError:
+        pass
+    out = np.empty(P.shape[0])
+    for i, x in enumerate(P):
+        try:
+            out[i], _ = max_violation(cons, x)
+        except EvalDomainError:
+            out[i] = math.inf
+    return out
 
 
 def _boundary_crossings(
     cons: Sequence[Constraint],
     x0: np.ndarray,
     D: np.ndarray,
-    max_doublings: int = 60,
-    bisections: int = 100,
+    tol: float = 1e-13,
+    settle: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``D``: the parameter ``t* > 0`` where ``max_j g_j(x0 + t d)``
-    crosses zero, taken on the feasible side.  Rows whose ray never leaves the
-    set within the doubling budget come back flagged ``ok = False``."""
+    crosses zero, taken on the feasible side, bisected to a bracket width of
+    at most ``tol * t_hi``.  ``settle`` also bisects on until ``max_j g_j >=
+    -BOUNDARY_TOL`` at ``t*`` (grids leave it off: there it costs time and
+    leaves steep rays open).  Rows whose ray never leaves the set within the
+    doubling budget, or still open after the bisections, get ``ok = False``."""
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = np.ones(k)
-    ok = np.ones(k, dtype=bool)
-    f_hi = _fmax_batch(cons, x0 + t_hi[:, None] * D)
+    f_hi = _fmax_rows(cons, x0 + t_hi[:, None] * D)
     need = f_hi <= 0.0
-    for _ in range(max_doublings):
+    for _ in range(_DOUBLINGS):
         if not np.any(need):
             break
         t_lo[need] = t_hi[need]
         t_hi[need] *= 2.0
         idx = np.nonzero(need)[0]
-        f_new = _fmax_batch(cons, x0 + t_hi[idx, None] * D[idx])
+        f_new = _fmax_rows(cons, x0 + t_hi[idx, None] * D[idx])
         need[idx] = f_new <= 0.0
-    ok[need] = False
-    active = np.nonzero(ok)[0]
-    for _ in range(bisections):
-        if active.size == 0:
+    ok = ~need
+    # the open rows' brackets, compacted whenever a row closes
+    rows = np.nonzero(ok)[0]
+    lo, hi, Dr = t_lo[rows], t_hi[rows], D[rows]
+    f_lo = np.full(rows.size, -math.inf)  # unknown until a bisection lands inside
+    for _ in range(_BISECTIONS):
+        if rows.size == 0:
             break
-        mid = 0.5 * (t_lo[active] + t_hi[active])
-        fm = _fmax_batch(cons, x0 + mid[:, None] * D[active])
+        mid = 0.5 * (lo + hi)
+        fm = _fmax_rows(cons, x0 + mid[:, None] * Dr)
         above = fm > 0.0
-        t_hi[active[above]] = mid[above]
-        t_lo[active[~above]] = mid[~above]
-        # relative bracket width 1e-13 is far below every downstream tolerance
-        keep = (t_hi[active] - t_lo[active]) > 1e-13 * t_hi[active]
-        active = active[keep]
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        still_open = hi - lo > tol * hi
+        if settle:
+            f_lo = np.where(above, f_lo, fm)
+            still_open |= f_lo < -BOUNDARY_TOL
+        if not still_open.all():
+            t_lo[rows] = lo
+            rows, lo, hi = rows[still_open], lo[still_open], hi[still_open]
+            Dr, f_lo = Dr[still_open], f_lo[still_open]
+    ok[rows] = False
     return t_lo, ok
 
 
@@ -283,25 +307,19 @@ def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(phi, ok)``; rows with ``ok == False`` could not bracket a
     boundary crossing (the ray stays feasible forever, e.g. along a recession
-    direction) and their ``phi`` is meaningless.
+    direction) and their ``phi`` is meaningless.  Points outside the
+    constraints' domain lie outside the set: their ``phi`` exceeds 1.
     """
     cons = as_constraints(constraints)
-    x0 = np.asarray(x0, dtype=float)
-    f0, _ = max_violation(cons, x0)
-    if f0 >= 0.0:
-        raise PreconditionError(
-            f"interior point is not strictly interior (max_j g_j = {f0:.6g})"
-        )
+    x0 = _strict_interior(cons, x0)
     X = np.atleast_2d(np.asarray(points, dtype=float))
-    D = X - x0
     phi = np.zeros(X.shape[0])
     ok = np.ones(X.shape[0], dtype=bool)
-    nonzero = np.nonzero(np.any(D != 0.0, axis=1))[0]
+    nonzero = np.nonzero(np.any(X != x0, axis=1))[0]
     if nonzero.size == 0:
         return phi, ok
-    t_star, ray_ok = _boundary_crossings(cons, x0, D[nonzero])
-    with np.errstate(divide="ignore"):
-        phi[nonzero] = np.where(ray_ok & (t_star > 0.0), 1.0 / np.maximum(t_star, 1e-300), 0.0)
+    t_star, ray_ok = _boundary_crossings(cons, x0, X[nonzero] - x0)
+    phi[nonzero] = np.where(ray_ok, 1.0 / np.maximum(t_star, 1e-300), 0.0)
     ok[nonzero] = ray_ok
     return phi, ok
 
@@ -367,6 +385,10 @@ def check_supporting(
     explicit (interior, exterior) segment to the candidates.  A verdict of
     ``False`` for a cut that was not generated on the boundary is heuristic
     evidence, not a proof.
+
+    The search needs an interior point.  For a :class:`Problem` it comes from
+    :func:`resolve_interior_point` (``interior_point``, then the problem's,
+    then a search); bare constraints must be given ``interior_point``.
     """
     cons = as_constraints(constraints)
     n = cut.alpha.shape[0]
@@ -392,32 +414,14 @@ def check_supporting(
         inside, outside = probe_segment
         consider(line_search_boundary(cons, inside, outside).boundary_point)
 
-    x0 = None
-    if interior_point is None and isinstance(constraints, Problem):
-        interior_point = constraints.interior_point
-    if interior_point is not None:
-        x0 = np.asarray(interior_point, dtype=float)
-        f0, _ = max_violation(cons, x0)
-        if f0 >= 0.0:
-            raise PreconditionError(
-                f"interior point is not strictly interior (max_j g_j = {f0:.6g})"
-            )
-    elif isinstance(constraints, Problem):
-        from .model import _interior_descent
-
-        x0, _ = _interior_descent(
-            cons, 0.5 * (constraints.lower + constraints.upper),
-            constraints.lower, constraints.upper, 200,
+    if isinstance(constraints, Problem):
+        x0 = resolve_interior_point(constraints, interior_point)
+    elif interior_point is None:
+        raise PreconditionError(
+            "check_supporting needs interior_point when given bare constraints"
         )
     else:
-        from .model import _interior_descent
-
-        x0, _ = _interior_descent(cons, np.zeros(n), None, None, 200)
-
-    if x0 is None:
-        gap = math.inf if best_x is None else cut.beta - best_val
-        warnings.warn("check_supporting: no interior point available; probe skipped")
-        return SupportVerdict(False, None, gap)
+        x0 = _strict_interior(cons, interior_point)
 
     rng = np.random.default_rng(seed)
     directions = [cut.alpha / np.linalg.norm(cut.alpha)]

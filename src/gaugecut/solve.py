@@ -24,14 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .errors import InteriorPointError, PreconditionError, SeparationError, SolveStallError
+from .errors import EvalDomainError, SeparationError, SolveStallError
 from .lp import Cut, LpModel, add_cut, lp_solve
 from .model import (
     Problem,
     SolverConfig,
     constraint_values,
-    find_interior_point,
     max_violation,
+    resolve_interior_point,
 )
 from .separation import (
     esh_cut,
@@ -118,27 +118,6 @@ class SolveTrace:
         return text
 
 
-def _resolve_interior_point(p: Problem, cfg: SolverConfig) -> np.ndarray:
-    """Interior point precedence: solver config, then problem file, then
-    subgradient search.  Supplied points are validated, not trusted."""
-    for source, cand in (("config", cfg.interior_point), ("problem", p.interior_point)):
-        if cand is not None:
-            cand = np.asarray(cand, dtype=float)
-            if cand.shape != (p.n,) or np.any(cand < p.lower) or np.any(cand > p.upper):
-                raise InteriorPointError(
-                    f"interior point from {source} lies outside the variable bounds"
-                )
-            f, _ = max_violation(p.constraints, cand)
-            if f >= 0.0:
-                raise InteriorPointError(
-                    f"interior point from {source} is not strictly interior "
-                    f"(max_j g_j = {f:.6g}); relax the constraints with "
-                    "epsilon_relax or supply a different point"
-                )
-            return cand
-    return find_interior_point(p)
-
-
 def _cutting_plane(
     p: Problem,
     lower: np.ndarray,
@@ -160,7 +139,13 @@ def _cutting_plane(
         if sol.status == "infeasible":
             return "infeasible", None, None, records
         x, obj = sol.x, sol.objective_value
-        gvals = constraint_values(cons, x)
+        try:
+            gvals = constraint_values(cons, x)
+        except EvalDomainError:
+            if method == "kelley":
+                raise  # Kelley linearizes at x itself
+            # C lies inside every g_j's domain: x is infeasible, ESH separates it
+            gvals = np.full(len(cons), math.inf)
         fmax = float(np.max(gvals))
         if fmax <= cfg.eps_feas:
             records.append(IterationRecord(x, fmax, obj, ()))
@@ -204,7 +189,7 @@ def solve_esh(p: Problem, cfg: SolverConfig | None = None) -> SolveTrace:
     constraint functions with a convex sublevel set, provided active gradients
     do not vanish on the boundary (checked at every visited point)."""
     cfg = cfg or SolverConfig()
-    x0 = _resolve_interior_point(p, cfg)
+    x0 = resolve_interior_point(p, cfg.interior_point)
     status, x, obj, records = _cutting_plane(
         p, p.lower, p.upper, cfg, "esh", x0, pool=[]
     )
@@ -301,12 +286,7 @@ def check_esh_kcp_equivalence(
     if xbar is None:
         raise ValueError("xbar is required")
     xbar = np.asarray(xbar, dtype=float)
-    x0 = _resolve_interior_point(p, cfg)
-    f_bar, _ = max_violation(p.constraints, xbar)
-    if f_bar <= 0.0:
-        raise PreconditionError(
-            f"point to separate is feasible (max_j g_j = {f_bar:.6g})"
-        )
+    x0 = resolve_interior_point(p, cfg.interior_point)
     gr = line_search_boundary(p.constraints, x0, xbar, cfg)
     xhat = gr.boundary_point
     gvals = constraint_values(p.constraints, xhat)
@@ -387,7 +367,7 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
     if not bool(p.integrality.any()):
         return solve_kelley(p, cfg) if inner == "kelley" else solve_esh(p, cfg)
 
-    x0 = _resolve_interior_point(p, cfg) if inner == "esh" else None
+    x0 = resolve_interior_point(p, cfg.interior_point) if inner == "esh" else None
     pool: list[Cut] = []
     int_idx = np.nonzero(p.integrality)[0]
 

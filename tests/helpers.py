@@ -43,6 +43,20 @@ def make_nonconvex_circle() -> Problem:
     }))
 
 
+def make_log() -> Problem:
+    """{1 - log(x) - log(y) <= 0} = {xy >= e} over [0, 10]^2: the box holds
+    points outside log's domain, the feasible set does not."""
+    return load_problem(json.dumps({
+        "variables": [
+            {"name": "x", "lb": 0.0, "ub": 10.0, "integer": False},
+            {"name": "y", "lb": 0.0, "ub": 10.0, "integer": False},
+        ],
+        "objective": [1.0, 1.0],
+        "constraints": [{"name": "log", "expr": "1 - log(x) - log(y)"}],
+        "interior_point": [5.0, 5.0],
+    }))
+
+
 def make_thin() -> Problem:
     """{x <= 0} ∩ {-x <= 0}: a single point, no interior."""
     return load_problem(json.dumps({

@@ -179,6 +179,13 @@ def test_check_support_cli(capsys, circle_path):
     assert abs(data["max_violation_gap"] - (11.0 / 6.0 - math.sqrt(2.0))) <= 1e-6
 
 
+def test_check_support_validates_the_interior_point(capsys, circle_path):
+    code, _, err = run(capsys, "check-support", circle_path, "--alpha", "1,1",
+                       "--beta", "1", "--interior-point", "5,5")
+    assert code == 3
+    assert "interior point from config/argument is not strictly interior" in err
+
+
 def test_classify_quadratic_cli(capsys):
     code, out, _ = run(capsys, "classify-quadratic",
                        "--A", "1 0; 0 1", "--b", "0 0", "--c0", "-1")

@@ -11,11 +11,12 @@ from gaugecut import (
     eval_value,
     find_interior_point,
     load_problem,
+    resolve_interior_point,
     save_problem,
 )
 from gaugecut.model import SolverConfig, constraint_values, max_violation
 
-from helpers import circle_dict, make_circle, make_thin
+from helpers import circle_dict, make_circle, make_log, make_thin
 
 
 def test_load_circle_fixture(tmp_path):
@@ -165,6 +166,18 @@ def test_find_interior_point_fails_on_thin_set():
     thin = make_thin()
     with pytest.raises(InteriorPointError, match="epsilon_relax"):
         find_interior_point(thin, start=np.array([5.0]), max_steps=300)
+
+
+def test_resolve_interior_point_precedence_and_validation():
+    p = make_log()  # file point (5, 5)
+    assert np.array_equal(resolve_interior_point(p, [2.0, 3.0]), [2.0, 3.0])
+    assert np.array_equal(resolve_interior_point(p), [5.0, 5.0])
+    searched = resolve_interior_point(make_circle(interior=False))
+    assert max_violation(make_circle().constraints, searched)[0] < 0.0
+    with pytest.raises(InteriorPointError, match="config/argument lies outside the variable bounds"):
+        resolve_interior_point(p, [11.0, 5.0])
+    with pytest.raises(InteriorPointError, match="config/argument is not strictly interior"):
+        resolve_interior_point(p, [1.0, 1.0])
 
 
 def test_find_interior_point_validates_start():

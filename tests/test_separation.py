@@ -5,6 +5,7 @@ import pytest
 
 from gaugecut import (
     Cut,
+    EvalDomainError,
     PreconditionError,
     QuadraticForm,
     SeparationError,
@@ -23,6 +24,7 @@ from gaugecut.model import SolverConfig, max_violation
 
 from helpers import (
     make_circle,
+    make_log,
     random_psd_quadratic,
     sample_unit_disk,
 )
@@ -235,6 +237,46 @@ def test_gauge_values_reports_unbracketable_rays():
     assert abs(phi[0] - 2.0) <= 1e-7
 
 
+def test_gauge_values_rows_outside_the_domain_leave_the_others_intact():
+    # {xy >= e} seen from (5, 5); rows 1 and 3 lie outside log's domain
+    cons = make_log().constraints
+    x0 = np.array([5.0, 5.0])
+    pts = np.array([[1.0, 1.0], [-1.0, -1.0], [3.0, 3.0], [5.0, -3.0], [5.0, 1.0]])
+    r = 5.0 - math.sqrt(math.e)  # diagonal distance to the boundary
+    s = 5.0 - math.e / 5.0  # vertical distance to the boundary
+    expect = [4.0 / r, 6.0 / r, 2.0 / r, 8.0 / s, 4.0 / s]
+    phi, ok = gauge_values(cons, x0, pts)
+    assert np.all(ok)
+    assert np.allclose(phi, expect, rtol=1e-12, atol=0)
+    assert phi[1] > 1.0 and phi[3] > 1.0
+    for i in (0, 2, 4):  # in-domain rows match their evaluation on their own
+        alone, _ = gauge_values(cons, x0, pts[i:i + 1])
+        assert phi[i] == alone[0]
+
+
+@pytest.mark.parametrize("factory", ["circle", "shell", "log"])
+def test_line_search_gauge_agrees_with_gauge_values(factory):
+    from helpers import make_nonconvex_circle
+
+    p = {"circle": make_circle, "shell": make_nonconvex_circle, "log": make_log}[factory]()
+    x0 = p.interior_point
+    rng = np.random.default_rng(31)
+
+    def infeasible(x):
+        try:
+            return max_violation(p.constraints, x)[0] > 0.0
+        except EvalDomainError:
+            return True
+
+    pts = np.array([x for x in x0 + rng.uniform(-6.0, 6.0, size=(120, 2)) if infeasible(x)])
+    assert len(pts) >= 30
+    phi, ok = gauge_values(p.constraints, x0, pts)
+    assert np.all(ok)
+    for x, expect in zip(pts, phi):
+        got = line_search_boundary(p.constraints, x0, x).gauge_value
+        assert abs(got - expect) <= 1e-9 * expect
+
+
 # ---------------------------------------------------------------------------
 # check_supporting
 # ---------------------------------------------------------------------------
@@ -282,6 +324,23 @@ def test_check_supporting_explicit_probe_segment():
                                probe_segment=(ORIGIN, np.array([2.0, 2.0])))
     assert verdict.supporting
     assert np.max(np.abs(verdict.witness - 1.0 / SQRT2)) <= 1e-7
+
+
+def test_check_supporting_resolves_a_problems_interior_point_by_search():
+    p = make_circle(interior=False)
+    assert p.interior_point is None
+    verdict = check_supporting(p, Cut(np.array([1.0, 1.0]), SQRT2, origin="user"))
+    assert verdict.supporting
+    assert np.max(np.abs(verdict.witness - 1.0 / SQRT2)) <= 1e-6
+    verdict = check_supporting(p, kelley_cut(CIRCLE, [1.5, 1.5]))
+    assert not verdict.supporting
+    assert abs(verdict.max_violation_gap - (11.0 / 6.0 - SQRT2)) <= 1e-6
+
+
+def test_check_supporting_bare_constraints_need_an_interior_point():
+    cut = Cut(np.array([1.0, 1.0]), SQRT2, origin="user")
+    with pytest.raises(PreconditionError, match="interior_point"):
+        check_supporting(make_circle().constraints, cut)
 
 
 def test_check_supporting_witness_invariant():

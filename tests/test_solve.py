@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaugecut import (
+    EvalDomainError,
     InteriorPointError,
     PreconditionError,
     check_esh_kcp_equivalence,
@@ -18,7 +19,7 @@ from gaugecut import (
 )
 from gaugecut.model import SolverConfig, max_violation
 
-from helpers import make_circle, make_nonconvex_circle, make_thin, sample_unit_disk
+from helpers import make_circle, make_log, make_nonconvex_circle, make_thin, sample_unit_disk
 
 SQRT2 = math.sqrt(2.0)
 
@@ -136,6 +137,21 @@ def test_esh_interior_point_resolution_order(circle):
 def test_esh_thin_set_advises_relaxation():
     with pytest.raises(InteriorPointError, match="epsilon_relax"):
         solve_esh(make_thin())
+
+
+def test_esh_treats_out_of_domain_iterates_as_infeasible():
+    # the first LP vertex (0, 0) lies outside log's domain: ESH separates it
+    # from the interior point, Kelley needs a gradient there and cannot
+    p = make_log()
+    trace = solve_esh(p)
+    assert trace.status == "optimal_eps"
+    assert abs(trace.objective - 2.0 * math.exp(0.5)) <= 1e-3  # min x + y s.t. xy >= e
+    assert np.array_equal(trace.iterations[0].x, [0.0, 0.0])
+    assert trace.iterations[0].violation == math.inf
+    data = json.loads(trace.to_json())
+    assert data["iterations"][0]["violation"] == math.inf
+    with pytest.raises(EvalDomainError, match="log"):
+        solve_kelley(p)
 
 
 def test_esh_uses_at_most_kelley_iterations_on_circle(circle):
