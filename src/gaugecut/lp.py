@@ -1,5 +1,5 @@
-"""Linear relaxations: a cut pool over box bounds and a bounded-variable
-primal simplex.
+"""Linear relaxations: a cut pool over box bounds and a bounded dual simplex
+that re-optimises from the previous basis.
 
 The relaxation solved at every cutting-plane iteration is
 
@@ -7,11 +7,29 @@ The relaxation solved at every cutting-plane iteration is
 
 Cuts are stored normalized (max-norm of alpha equal to one) so that
 deduplication is scale-invariant: cuts that differ only by a positive factor
-are the same half-space.  The simplex is a dense two-phase method with upper
-bounds handled natively (no big-M): structural variables live in the box,
-slacks in [0, inf), and rows that start infeasible get one artificial each.
-Pricing is Dantzig with a switch to Bland's rule after 10*(rows+cols) pivots,
-which makes runs deterministic and guards against cycling.
+are the same half-space.  The model also keeps the pool as one growing row
+array, so deduplication is one numpy comparison and a solve stacks nothing.
+
+Each cut row k gets a slack ``s_k = beta_k - alpha_k^T x`` in ``[0, inf)``.
+Every structural variable is boxed and slacks cost nothing, so the all-slack
+basis with each structural at its cost-favourable bound is dual feasible: the
+dual simplex needs no phase 1.  A model keeps the basis of its last solve.
+A new cut's slack enters that basis as basic and a tighter box leaves the
+reduced costs unchanged, so the next solve starts dual feasible from there
+and typically needs one or two pivots.  A start basis that fails the
+dual-feasibility check is replaced by the all-slack basis.
+
+Pivoting is deterministic: leave on the most infeasible basic variable, enter
+on the smallest dual ratio, ties to the largest |pivot| and then the lowest
+index.  After ``10*(rows+cols)`` pivots both choices switch to the lowest
+index, which prevents cycling.  A basic variable leaves once it is outside
+its bounds by more than 1e-12, far below :data:`FEAS_TOL`, so a cut that cuts
+the iterate off by less than ``FEAS_TOL`` still moves it; basic values get
+one step of iterative refinement to make that resolution meaningful.
+``"infeasible"`` is returned only with a checked Farkas row ``rho``:
+``rho^T b`` must lie outside the range of ``rho^T [A I] z`` over the variable
+bounds.  If that check fails, the solve restarts from the all-slack basis; it
+never reports infeasibility unchecked.
 """
 
 from __future__ import annotations
@@ -22,14 +40,15 @@ import numpy as np
 
 from .errors import SimplexNumericalError
 
-__all__ = ["Cut", "LpModel", "LpSolution", "add_cut", "lp_solve"]
+__all__ = ["Cut", "LpBasis", "LpModel", "LpSolution", "add_cut", "lp_solve"]
 
 DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
-_PIVOT_TOL = 1e-10
-_PHASE1_TOL = 1e-7
-
-_BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
+_PRIMAL_TOL = 1e-12  # a basic variable this far outside its bounds leaves
+_PIVOT_TOL = 1e-10  # smallest |pivot| a column may enter with
+_RATIO_TIE_TOL = 1e-12  # dual ratios this close count as tied
+# basis inverse is recomputed from scratch after this many product-form updates
+_REFACTOR_EVERY = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,14 +90,6 @@ class Cut:
             point.setflags(write=False)
         object.__setattr__(self, "point", point)
 
-    def same_as(self, other: "Cut", tol: float = DEDUP_TOL) -> bool:
-        """Scale-invariant equality of the half-spaces (both are normalized)."""
-        return (
-            self.alpha.shape == other.alpha.shape
-            and float(np.max(np.abs(self.alpha - other.alpha))) <= tol
-            and abs(self.beta - other.beta) <= tol
-        )
-
     def violation(self, x) -> float:
         """``alpha^T x - beta``; positive means ``x`` is cut off."""
         return float(self.alpha @ np.asarray(x, dtype=float) - self.beta)
@@ -92,14 +103,31 @@ class Cut:
         return {"alpha": [float(a) for a in self.alpha], "beta": self.beta, "origin": origin}
 
 
+@dataclass(frozen=True, eq=False)
+class LpBasis:
+    """A simplex basis of an :class:`LpModel`.  ``columns[i]`` is the variable
+    basic in row ``i``: ``j < n`` is structural ``j`` and ``n + k`` the slack
+    of cut ``k``.  ``at_upper`` marks the structurals that sit at their upper
+    bound when nonbasic.  Rows added after the basis was taken enter with
+    their slacks basic."""
+
+    columns: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass
 class LpModel:
-    """Box bounds, linear objective, and the accumulating cut pool."""
+    """Box bounds, linear objective, the accumulating cut pool, and the basis
+    the next solve starts from (``None``: the all-slack basis).  Add cuts
+    with :func:`add_cut`; the pool only grows."""
 
     lower: np.ndarray
     upper: np.ndarray
     objective: np.ndarray
     cuts: list[Cut] = field(default_factory=list)
+    basis: LpBasis | None = None
+    _alpha: np.ndarray = field(init=False, repr=False)
+    _beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -112,10 +140,21 @@ class LpModel:
             raise ValueError("bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
+        self._alpha = np.empty((0, n))
+        self._beta = np.empty(0)
 
     @property
     def n(self) -> int:
         return self.lower.shape[0]
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pool as ``(A, b)``, one row per cut in pool order; cuts
+        appended to ``cuts`` directly are picked up here."""
+        new = self.cuts[self._beta.shape[0]:]
+        if new:
+            self._alpha = np.concatenate([self._alpha, [cut.alpha for cut in new]])
+            self._beta = np.concatenate([self._beta, [cut.beta for cut in new]])
+        return self._alpha, self._beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,247 +162,204 @@ class LpSolution:
     status: str  # "optimal" | "infeasible"
     x: np.ndarray | None
     objective_value: float | None
+    pivots: int  # dual simplex pivots of this solve
 
 
 def add_cut(m: LpModel, cut: Cut) -> bool:
     """Append ``cut`` to the pool unless an equal normalized cut is already
-    there (within :data:`DEDUP_TOL`).  Returns True iff the pool grew."""
+    there: ``beta`` and every entry of ``alpha`` within :data:`DEDUP_TOL`.
+    Both are normalized, so this is scale-invariant equality of the
+    half-spaces.  Returns True iff the pool grew."""
     if cut.alpha.shape != (m.n,):
         raise ValueError(f"cut dimension {cut.alpha.shape[0]} does not match model ({m.n})")
-    for existing in m.cuts:
-        if existing.same_as(cut):
-            return False
+    A, b = m.rows()
+    near = np.flatnonzero(np.abs(b - cut.beta) <= DEDUP_TOL)
+    if near.size and np.any(np.max(np.abs(A[near] - cut.alpha), axis=1) <= DEDUP_TOL):
+        return False
     m.cuts.append(cut)
     return True
 
 
 def lp_solve(m: LpModel) -> LpSolution:
-    """Solve the relaxation to a primal-optimal vertex, or report that the
-    cuts exclude the whole box."""
-    n = m.n
-    c = m.objective
-    if not m.cuts:
-        x = np.where(c > 0.0, m.lower, np.where(c < 0.0, m.upper, m.lower))
-        return LpSolution("optimal", x, float(c @ x))
-    rows = len(m.cuts)
-    A = np.vstack([cut.alpha for cut in m.cuts])
-    b = np.array([cut.beta for cut in m.cuts])
-    solver = _Simplex(A, b, m.lower, m.upper, c)
-    return solver.solve()
+    """Solve the relaxation to an optimal vertex, or report with a checked
+    Farkas certificate that the cuts exclude the whole box.  Starts from
+    ``m.basis`` and leaves the final basis there for the next solve."""
+    A, b = m.rows()
+    simplex = _DualSimplex(A, b, m.lower, m.upper, m.objective)
+    sol = simplex.run() if m.basis is not None and simplex.load(m.basis) else None
+    if sol is None:
+        simplex.load(LpBasis(np.zeros(0, dtype=int), np.zeros(m.n, dtype=bool)))
+        sol = simplex.run()
+    if sol is None:
+        raise SimplexNumericalError(
+            "no entering column, but the Farkas row does not certify infeasibility"
+        )
+    m.basis = simplex.basis()
+    return sol
 
 
-class _Simplex:
-    """Dense bounded-variable primal simplex, two phases.
+class _DualSimplex:
+    """Dense bounded dual simplex on ``[A I] (x, s) = b`` with an explicit
+    basis inverse, updated in product form and recomputed periodically.
 
-    Columns 0..n-1 are structural, n..n+m-1 are row slacks (lb 0, no ub);
-    artificials are appended only for rows whose slack starts negative.
-    Basic values are recomputed from scratch every iteration (desk-scale
-    problems; stability over speed).
+    Columns ``0..n-1`` are structural (boxed), ``n..n+m-1`` the row slacks
+    (``[0, inf)``, so nonbasic slacks sit at zero).
     """
 
     def __init__(self, A, b, lower, upper, c):
-        self.mrows, self.nstruct = A.shape
-        m, n = self.mrows, self.nstruct
-        self.b = b
-        self.cost = np.concatenate([c, np.zeros(m)])
-        self.A = np.hstack([A, np.eye(m)])
+        self.A, self.b, self.c = A, b, c
+        m, n = A.shape
+        self.m, self.n = m, n
         self.lo = np.concatenate([lower, np.zeros(m)])
         self.hi = np.concatenate([upper, np.full(m, np.inf)])
+        self.cost = np.concatenate([c, np.zeros(m)])
+        self.movable = self.hi > self.lo  # fixed variables never enter
         self.pivots = 0
-        # budgets per the deterministic pivoting rule: Dantzig first, Bland after
-        total_cols = n + 2 * m  # worst case with artificials
-        self.dantzig_budget = 10 * (m + total_cols)
-        self.total_budget = 100 * (m + total_cols) + 1000
+        self.lowest_index_after = 10 * (2 * m + n)
+        self.pivot_limit = 100 * (2 * m + n) + 1000
 
-    # -- state helpers ---------------------------------------------------
+    # -- basis -----------------------------------------------------------
 
-    def _nonbasic_value(self, j: int) -> float:
-        return self.lo[j] if self.status[j] == _AT_LOWER else self.hi[j]
-
-    def _basic_values(self) -> np.ndarray:
-        rhs = self.b.copy()
-        for j in range(self.A.shape[1]):
-            if self.status[j] != _BASIC:
-                v = self._nonbasic_value(j)
-                if v != 0.0:
-                    rhs -= self.A[:, j] * v
-        B = self.A[:, self.basis]
+    def load(self, start: LpBasis) -> bool:
+        """Install ``start`` extended by basic slacks for newer rows (all
+        slacks for an empty ``start``).  Returns False when ``start`` is not
+        a usable dual feasible basis of this model."""
+        m, n = self.m, self.n
+        k = start.columns.shape[0]
+        if k > m or start.at_upper.shape != (n,):
+            return False
+        self.columns = np.concatenate([start.columns, n + np.arange(k, m)])
+        self.is_basic = np.zeros(n + m, dtype=bool)
+        self.is_basic[self.columns] = True
+        self.at_upper = np.zeros(n + m, dtype=bool)
+        self.at_upper[:n] = start.at_upper
         try:
-            return np.linalg.solve(B, rhs)
+            self._factor()
+        except SimplexNumericalError:
+            return False
+        # boxed structurals are dual feasible at the bound their reduced cost
+        # favours; a nonbasic slack with negative reduced cost is not
+        d = self._reduced_costs()
+        struct = ~self.is_basic[:n]
+        self.at_upper[:n] = np.where(struct & (d[:n] != 0.0), d[:n] < 0.0, self.at_upper[:n])
+        slack_d = d[n:][~self.is_basic[n:]]
+        return not np.any(slack_d < -FEAS_TOL)
+
+    def basis(self) -> LpBasis:
+        return LpBasis(self.columns.copy(), self.at_upper[: self.n].copy())
+
+    def _factor(self) -> None:
+        B = np.zeros((self.m, self.m))
+        struct = self.columns < self.n
+        B[:, struct] = self.A[:, self.columns[struct]]
+        B[self.columns[~struct] - self.n, np.flatnonzero(~struct)] = 1.0
+        try:
+            self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as err:
             raise SimplexNumericalError(f"singular basis matrix: {err}") from err
 
-    # -- setup -----------------------------------------------------------
-
-    def solve(self) -> LpSolution:
-        m, n = self.mrows, self.nstruct
-        ncols = n + m
-        self.status = np.empty(ncols, dtype=int)
-        for j in range(n):
-            self.status[j] = _AT_LOWER if self.cost[j] >= 0.0 else _AT_UPPER
-        self.status[n:] = _AT_LOWER
-        x_struct = np.array([self._nonbasic_value(j) for j in range(n)])
-        resid = self.b - self.A[:, :n] @ x_struct
-
-        self.basis = []
-        artificials = []
-        for i in range(m):
-            if resid[i] >= -FEAS_TOL:
-                self.basis.append(n + i)  # slack basic at resid[i] >= 0
-            else:
-                col = np.zeros(m)
-                col[i] = -1.0
-                self.A = np.hstack([self.A, col[:, None]])
-                self.lo = np.append(self.lo, 0.0)
-                self.hi = np.append(self.hi, np.inf)
-                self.cost = np.append(self.cost, 0.0)
-                self.status = np.append(self.status, _BASIC)
-                a_col = self.A.shape[1] - 1
-                artificials.append(a_col)
-                self.basis.append(a_col)
-        for i, j in enumerate(self.basis):
-            self.status[j] = _BASIC
-
-        self.artificial_set = set(artificials)
-
-        if artificials:
-            phase1_cost = np.zeros(self.A.shape[1])
-            phase1_cost[artificials] = 1.0
-            self._iterate(phase1_cost, allow_artificials=True)
-            xB = self._basic_values()
-            # nonbasic artificials sit at their lower bound 0, so the residual
-            # infeasibility is the sum of the basic ones
-            infeasibility = sum(
-                xB[i] for i, j in enumerate(self.basis) if j in self.artificial_set
-            )
-            if infeasibility > _PHASE1_TOL:
-                return LpSolution("infeasible", None, None)
-            self._drive_out_artificials()
-
-        self._iterate(self.cost, allow_artificials=False)
-
-        xB = self._basic_values()
-        x = np.empty(self.nstruct)
-        for j in range(self.nstruct):
-            if self.status[j] == _BASIC:
-                x[j] = xB[self.basis.index(j)]
-            else:
-                x[j] = self._nonbasic_value(j)
-        return LpSolution("optimal", x, float(self.cost[: self.nstruct] @ x))
-
     # -- core loop -------------------------------------------------------
 
-    def _eligible(self, d: np.ndarray, allow_artificials: bool) -> list[int]:
-        out = []
-        for j in range(self.A.shape[1]):
-            if self.status[j] == _BASIC:
-                continue
-            if not allow_artificials and j in self.artificial_set:
-                continue
-            if self.hi[j] <= self.lo[j]:
-                continue  # fixed variable: cannot move, any reduced cost is fine
-            if self.status[j] == _AT_LOWER and d[j] < -FEAS_TOL:
-                out.append(j)
-            elif self.status[j] == _AT_UPPER and d[j] > FEAS_TOL:
-                out.append(j)
-        return out
+    def _reduced_costs(self) -> np.ndarray:
+        y = self.cost[self.columns] @ self.Binv
+        d = self.cost - np.concatenate([y @ self.A, y])
+        d[self.columns] = 0.0
+        return d
 
-    def _iterate(self, cost: np.ndarray, allow_artificials: bool) -> None:
+    def _primal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Structural values and basic values of the current basis.  One step
+        of iterative refinement against ``[A I]`` keeps them accurate on the
+        ill-conditioned bases that nearly parallel cuts produce."""
+        n = self.n
+        z = np.zeros(n + self.m)
+        z[:n] = np.where(self.at_upper[:n], self.hi[:n], self.lo[:n])
+        z[self.columns] = 0.0
+        xB = self.Binv @ (self.b - self.A @ z[:n])
+        z[self.columns] = xB
+        xB = xB + self.Binv @ (self.b - self.A @ z[:n] - z[n:])
+        z[self.columns] = xB
+        return z[:n], xB
+
+    def run(self) -> LpSolution | None:
+        """Pivot to optimality or to a certified infeasible row.  Returns
+        None when a row without an entering column fails its certificate."""
         while True:
-            if self.pivots > self.total_budget:
+            x, xB = self._primal()
+            loB, hiB = self.lo[self.columns], self.hi[self.columns]
+            infeas = np.maximum(loB - xB, xB - hiB)
+            worst = float(infeas.max(initial=0.0))
+            if worst <= _PRIMAL_TOL:
+                return LpSolution("optimal", x, float(self.c @ x), self.pivots)
+            if self.pivots >= self.pivot_limit:
                 raise SimplexNumericalError(
                     f"pivot limit exceeded after {self.pivots} pivots; "
                     "numerical cycling suspected"
                 )
-            B = self.A[:, self.basis]
-            try:
-                y = np.linalg.solve(B.T, cost[self.basis])
-            except np.linalg.LinAlgError as err:
-                raise SimplexNumericalError(f"singular basis matrix: {err}") from err
-            d = cost - y @ self.A
-            eligible = self._eligible(d, allow_artificials)
-            if not eligible:
-                return
-            if self.pivots <= self.dantzig_budget:
-                entering = max(eligible, key=lambda j: (abs(d[j]), -j))
+            lowest_index = self.pivots >= self.lowest_index_after
+            if lowest_index:
+                rows = np.flatnonzero(infeas > _PRIMAL_TOL)
+                r = int(rows[np.argmin(self.columns[rows])])
             else:
-                entering = min(eligible)  # Bland
-            self._pivot(entering)
-
-    def _pivot(self, entering: int) -> None:
-        xB = self._basic_values()
-        B = self.A[:, self.basis]
-        w = np.linalg.solve(B, self.A[:, entering])
-        sigma = 1.0 if self.status[entering] == _AT_LOWER else -1.0
-
-        # largest step t >= 0 keeping x_B within bounds; x_e moves by sigma*t
-        t_best = self.hi[entering] - self.lo[entering]  # bound flip
-        leave_pos = -1
-        leave_to = _AT_LOWER
-        for i in range(self.mrows):
-            wi = sigma * w[i]
-            var = self.basis[i]
-            if wi > _PIVOT_TOL:
-                ti = (xB[i] - self.lo[var]) / wi
-                hit = _AT_LOWER
-            elif wi < -_PIVOT_TOL and np.isfinite(self.hi[var]):
-                ti = (xB[i] - self.hi[var]) / wi
-                hit = _AT_UPPER
+                r = int(np.argmax(infeas))
+            to_upper = bool(xB[r] > hiB[r])
+            rho = self.Binv[r]
+            alpha = np.concatenate([rho @ self.A, rho])
+            # +1 for a nonbasic at its lower bound (may increase), -1 at upper
+            side = np.where(self.at_upper, -1.0, 1.0)
+            toward = side * alpha if to_upper else -side * alpha
+            eligible = np.flatnonzero((toward > _PIVOT_TOL) & ~self.is_basic & self.movable)
+            if eligible.size == 0:
+                if worst <= FEAS_TOL:  # infeasible by less than the tolerance
+                    return LpSolution("optimal", x, float(self.c @ x), self.pivots)
+                if self._certifies_infeasible(rho, r, alpha):
+                    return LpSolution("infeasible", None, None, self.pivots)
+                return None
+            d = self._reduced_costs()
+            ratio = np.maximum(side[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
+            tied = eligible[ratio <= ratio.min() + _RATIO_TIE_TOL]
+            if lowest_index:
+                q = int(tied[0])
             else:
-                continue
-            ti = max(ti, 0.0)
-            if ti < t_best - _PIVOT_TOL:
-                t_best, leave_pos, leave_to = ti, i, hit
-            elif (
-                leave_pos >= 0
-                and ti <= t_best + _PIVOT_TOL
-                and var < self.basis[leave_pos]
-            ):
-                # equal blocking step within tolerance: smaller variable
-                # index leaves (Bland-safe, deterministic)
-                t_best, leave_pos, leave_to = min(ti, t_best), i, hit
+                q = int(tied[np.argmax(np.abs(alpha[tied]))])
+            self._pivot(r, q, to_upper)
 
-        if not np.isfinite(t_best):
-            raise SimplexNumericalError(
-                "unbounded ray encountered; the relaxation should be bounded by the box"
-            )
+    def _pivot(self, r: int, q: int, to_upper: bool) -> None:
+        if q < self.n:
+            w = self.Binv @ self.A[:, q]
+        else:
+            w = self.Binv[:, q - self.n].copy()
+        row = self.Binv[r] / w[r]
+        self.Binv -= np.outer(w, row)
+        self.Binv[r] = row
+        leaving = self.columns[r]
+        self.is_basic[leaving] = False
+        self.at_upper[leaving] = to_upper
+        self.columns[r] = q
+        self.is_basic[q] = True
+        self.at_upper[q] = False
         self.pivots += 1
-        if leave_pos < 0:
-            # bound flip, basis unchanged
-            self.status[entering] = (
-                _AT_UPPER if self.status[entering] == _AT_LOWER else _AT_LOWER
-            )
-            return
-        leaving = self.basis[leave_pos]
-        self.status[leaving] = leave_to
-        self.basis[leave_pos] = entering
-        self.status[entering] = _BASIC
+        if self.pivots % _REFACTOR_EVERY == 0:
+            self._factor()
 
-    def _drive_out_artificials(self) -> None:
-        """Replace basic artificials (at value 0) by real columns; always
-        possible because [A | I] has full row rank."""
-        for pos in range(self.mrows):
-            var = self.basis[pos]
-            if var not in self.artificial_set:
-                continue
-            B = self.A[:, self.basis]
-            e = np.zeros(self.mrows)
-            e[pos] = 1.0
-            row = np.linalg.solve(B.T, e)
-            swapped = False
-            for j in range(self.nstruct + self.mrows):
-                if self.status[j] == _BASIC:
-                    continue
-                if abs(row @ self.A[:, j]) > 1e-9:
-                    self.status[var] = _AT_LOWER
-                    self.basis[pos] = j
-                    self.status[j] = _BASIC
-                    swapped = True
-                    break
-            if not swapped:
-                raise SimplexNumericalError(
-                    "could not remove an artificial variable from the basis"
-                )
+    def _certifies_infeasible(self, rho: np.ndarray, r: int, alpha: np.ndarray) -> bool:
+        """Farkas check of row ``r``: no z within the bounds has
+        ``rho^T [A I] z = rho^T b``.  A slack is bounded above by what the box
+        allows, ``b - min over the box of A x``, so a roundoff-size
+        coefficient on a slack cannot make the range infinite.  Basic columns
+        other than the leaving one get coefficient 0 (they do in exact
+        arithmetic)."""
+        n = self.n
+        coef = alpha.copy()
+        coef[self.columns] = 0.0
+        coef[self.columns[r]] = 1.0
+        lo, hi = self.lo, self.hi.copy()
+        row_min = np.minimum(self.A * lo[:n], self.A * hi[:n]).sum(axis=1)
+        hi[n:] = np.maximum(self.b - row_min, 0.0)
+        pos, neg = coef > 0.0, coef < 0.0
+        low = coef[pos] @ lo[pos] + coef[neg] @ hi[neg]
+        high = coef[pos] @ hi[pos] + coef[neg] @ lo[neg]
+        target = float(rho @ self.b)
+        return max(low - target, target - high) > 0.5 * FEAS_TOL
 
 
 def check_solution(m: LpModel, sol: LpSolution, tol: float = FEAS_TOL) -> None:

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import expr as ex
 from .errors import EvalDomainError, SeparationError, SolveStallError
-from .lp import Cut, LpModel, add_cut, lp_solve
+from .lp import Cut, LpBasis, LpModel, add_cut, lp_solve
 from .model import (
     Problem,
     SolverConfig,
     constraint_values,
-    max_violation,
+    max_violation,  # noqa: F401  perfbench/tracer.py patches it by name here
     resolve_interior_point,
 )
 from .separation import (
@@ -120,17 +120,14 @@ class SolveTrace:
 
 def _cutting_plane(
     p: Problem,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    model: LpModel,
     cfg: SolverConfig,
     method: str,
     x0: np.ndarray | None,
-    pool: list[Cut],
 ) -> tuple[str, np.ndarray | None, float | None, list[IterationRecord]]:
-    """Shared loop.  ``pool`` is the live cut list of the LP model, so cuts
-    added here remain visible to later calls that pass the same list."""
+    """Shared loop on ``model``'s current box.  Cuts added here stay in the
+    model's pool, and each LP re-solve starts from the model's last basis."""
     cons = p.constraints
-    model = LpModel(lower, upper, p.objective, cuts=pool)
     records: list[IterationRecord] = []
     x = None
     obj = None
@@ -174,9 +171,8 @@ def solve_kelley(p: Problem, cfg: SolverConfig | None = None) -> SolveTrace:
     the LP, linearize every violated constraint at the LP iterate, repeat
     until the iterate is ``eps_feas``-feasible.  Integrality is ignored."""
     cfg = cfg or SolverConfig()
-    status, x, obj, records = _cutting_plane(
-        p, p.lower, p.upper, cfg, "kelley", None, pool=[]
-    )
+    model = LpModel(p.lower, p.upper, p.objective)
+    status, x, obj, records = _cutting_plane(p, model, cfg, "kelley", None)
     _raise_if_stalled(status, records)
     return SolveTrace(records, status, x, obj)
 
@@ -190,9 +186,8 @@ def solve_esh(p: Problem, cfg: SolverConfig | None = None) -> SolveTrace:
     do not vanish on the boundary (checked at every visited point)."""
     cfg = cfg or SolverConfig()
     x0 = resolve_interior_point(p, cfg.interior_point)
-    status, x, obj, records = _cutting_plane(
-        p, p.lower, p.upper, cfg, "esh", x0, pool=[]
-    )
+    model = LpModel(p.lower, p.upper, p.objective)
+    status, x, obj, records = _cutting_plane(p, model, cfg, "esh", x0)
     _raise_if_stalled(status, records)
     return SolveTrace(records, status, x, obj)
 
@@ -339,12 +334,13 @@ def check_esh_kcp_equivalence(
 @dataclass(frozen=True, eq=False)
 class BnbNode:
     """Box restriction of the root problem with the bound inherited from its
-    parent's final LP value."""
+    parent's final LP value, and the parent's final LP basis to start from."""
 
     bound: float
     depth: int
     lower: np.ndarray
     upper: np.ndarray
+    basis: LpBasis | None
 
 
 def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley") -> SolveTrace:
@@ -353,10 +349,13 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
 
     The cut pool is shared globally across nodes: every cut is valid for the
     continuous feasible region itself, never derived from integrality, so
-    work done in one node tightens all others.  Nodes are selected by parent
-    bound, ties by depth then creation order — fully deterministic.  The
-    recorded per-node objective is the global lower bound (best open node)
-    after the node is processed, which is nondecreasing by construction.
+    work done in one node tightens all others.  One LP model serves the whole
+    tree: each node sets its box and starts from its parent's final basis,
+    whose rows keep their positions because the pool only grows.  Nodes are
+    selected by parent bound, ties by depth then creation order — fully
+    deterministic.  The recorded per-node objective is the global lower
+    bound (best open node) after the node is processed, which is
+    nondecreasing by construction.
 
     A problem without integer variables is delegated to the inner loop
     unchanged.
@@ -368,12 +367,12 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
         return solve_kelley(p, cfg) if inner == "kelley" else solve_esh(p, cfg)
 
     x0 = resolve_interior_point(p, cfg.interior_point) if inner == "esh" else None
-    pool: list[Cut] = []
+    model = LpModel(p.lower, p.upper, p.objective)
     int_idx = np.nonzero(p.integrality)[0]
 
     counter = 0
     heap: list[tuple[float, int, int, BnbNode]] = []
-    heapq.heappush(heap, (-math.inf, 0, counter, BnbNode(-math.inf, 0, p.lower, p.upper)))
+    heapq.heappush(heap, (-math.inf, 0, counter, BnbNode(-math.inf, 0, p.lower, p.upper, None)))
 
     incumbent_x: np.ndarray | None = None
     incumbent_val = math.inf
@@ -392,14 +391,13 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
         if node.bound >= incumbent_val - BNB_GAP:
             continue
         nodes_processed += 1
-        status, x, obj, node_records = _cutting_plane(
-            p, node.lower, node.upper, cfg, inner, x0, pool
-        )
+        model.lower, model.upper, model.basis = node.lower, node.upper, node.basis
+        status, x, obj, node_records = _cutting_plane(p, model, cfg, inner, x0)
         if status == "infeasible":
             continue
         assert x is not None and obj is not None
         node_cuts = tuple(cut for rec in node_records for cut in rec.cuts)
-        fmax, _ = max_violation(p.constraints, x)
+        fmax = node_records[-1].violation
 
         if status == "optimal_eps":
             frac = np.abs(x[int_idx] - np.round(x[int_idx]))
@@ -410,7 +408,7 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
             else:
                 j = int(int_idx[int(np.argmax(frac))])
                 if obj < incumbent_val - BNB_GAP:
-                    _push_children(heap, node, j, x[j], obj, counter + 1)
+                    _push_children(heap, node, j, x[j], obj, model.basis, counter + 1)
                     counter += 2
         else:
             # inner iteration limit or numerical stall: the LP value is still
@@ -420,7 +418,7 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
                 pass  # dominated regardless of how the node would resolve
             elif np.any(frac > INT_TOL):
                 j = int(int_idx[int(np.argmax(frac))])
-                _push_children(heap, node, j, x[j], obj, counter + 1)
+                _push_children(heap, node, j, x[j], obj, model.basis, counter + 1)
                 counter += 2
             else:
                 unresolved = True  # cannot branch, cannot certify: no proof
@@ -442,7 +440,9 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
     )
 
 
-def _push_children(heap, node: BnbNode, j: int, xj: float, bound: float, counter: int) -> None:
+def _push_children(
+    heap, node: BnbNode, j: int, xj: float, bound: float, basis: LpBasis | None, counter: int
+) -> None:
     """Split on variable ``j``: ``x_j <= floor`` and ``x_j >= ceil``; children
     with an empty box are not created."""
     down = math.floor(xj)
@@ -453,7 +453,7 @@ def _push_children(heap, node: BnbNode, j: int, xj: float, bound: float, counter
         heapq.heappush(
             heap,
             (bound, node.depth + 1, counter,
-             BnbNode(bound, node.depth + 1, node.lower, upper)),
+             BnbNode(bound, node.depth + 1, node.lower, upper, basis)),
         )
     if up <= node.upper[j]:
         lower = node.lower.copy()
@@ -461,5 +461,5 @@ def _push_children(heap, node: BnbNode, j: int, xj: float, bound: float, counter
         heapq.heappush(
             heap,
             (bound, node.depth + 1, counter + 1,
-             BnbNode(bound, node.depth + 1, lower, node.upper)),
+             BnbNode(bound, node.depth + 1, lower, node.upper, basis)),
         )

@@ -43,13 +43,13 @@ def make_nonconvex_circle() -> Problem:
     }))
 
 
-def make_log() -> Problem:
+def make_log(integer: bool = False) -> Problem:
     """{1 - log(x) - log(y) <= 0} = {xy >= e} over [0, 10]^2: the box holds
     points outside log's domain, the feasible set does not."""
     return load_problem(json.dumps({
         "variables": [
-            {"name": "x", "lb": 0.0, "ub": 10.0, "integer": False},
-            {"name": "y", "lb": 0.0, "ub": 10.0, "integer": False},
+            {"name": "x", "lb": 0.0, "ub": 10.0, "integer": integer},
+            {"name": "y", "lb": 0.0, "ub": 10.0, "integer": integer},
         ],
         "objective": [1.0, 1.0],
         "constraints": [{"name": "log", "expr": "1 - log(x) - log(y)"}],

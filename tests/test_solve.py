@@ -154,6 +154,17 @@ def test_esh_treats_out_of_domain_iterates_as_infeasible():
         solve_kelley(p)
 
 
+@pytest.mark.parametrize("eps", [1e-10, 1e-12])
+@pytest.mark.parametrize("solver", [solve_esh, solve_kelley])
+def test_circle_converges_below_the_lp_feasibility_tolerance(solver, eps, circle):
+    # near the end each new cut cuts the iterate off by less than the LP's
+    # 1e-9 feasibility tolerance; the re-solve must still move the iterate,
+    # and its value must stay a lower bound on the optimum -sqrt(2)
+    trace = solver(circle, SolverConfig(eps_feas=eps))
+    assert trace.status == "optimal_eps"
+    assert -math.sqrt(2.0) - 1e-9 <= trace.objective <= -math.sqrt(2.0) + 1e-12
+
+
 def test_esh_uses_at_most_kelley_iterations_on_circle(circle):
     kelley = solve_kelley(circle, SolverConfig(eps_feas=1e-6))
     esh = solve_esh(circle, SolverConfig(eps_feas=1e-6))
@@ -372,6 +383,15 @@ def test_bnb_matches_lattice_enumeration_on_random_boxes():
         else:
             assert trace.status == "optimal_eps", f"trial {trial}"
             assert abs(trace.objective - best) <= 1e-4, f"trial {trial}"
+
+
+def test_bnb_node_violation_is_read_from_its_last_record():
+    # one iteration per node: the ESH root node stops at the LP vertex (0, 0),
+    # outside log's domain, where the constraints cannot be evaluated again
+    trace = solve_bnb(make_log(integer=True), SolverConfig(max_iters=1), inner="esh")
+    assert trace.status == "iteration_limit"
+    assert np.array_equal(trace.iterations[0].x, [0.0, 0.0])
+    assert trace.iterations[0].violation == math.inf
 
 
 def test_bnb_determinism():
