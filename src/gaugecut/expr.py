@@ -369,8 +369,10 @@ def _pow_value(a: np.ndarray, node: Pow) -> np.ndarray:
 
 
 def _value(e: Expr, X: np.ndarray) -> np.ndarray:
+    """Values at the rows of ``X``: an ``(N,)`` array, or a 0-d scalar where
+    ``e`` holds no variable."""
     if isinstance(e, Const):
-        return np.full(X.shape[0], e.value)
+        return np.float64(e.value)  # broadcasts against the (N,) columns
     if isinstance(e, Var):
         return X[:, e.index]
     if isinstance(e, Neg):
@@ -472,6 +474,8 @@ def eval_value(e: Expr, x) -> float | np.ndarray:
     X = _as_points(x_arr)
     with np.errstate(over="ignore", invalid="ignore"):
         v = _value(e, X)
+    if v.ndim == 0:  # a constant expression
+        v = np.full(X.shape[0], v)
     if not np.all(np.isfinite(v)):
         raise EvalDomainError("evaluation overflowed to a non-finite value", render(e))
     return float(v[0]) if single else v

@@ -17,7 +17,10 @@ The line search simultaneously evaluates the gauge (Minkowski functional) of
 evaluation to arbitrary points (feasible ones get ``lambda* > 1``), which is
 what :func:`gauge_subgradient_check` uses to certify that a normalized
 supporting cut is a subgradient inequality of the gauge.  Both run on one
-ray-crossing kernel.  ``C`` lies inside every ``g_j``'s domain, so the
+ray-crossing kernel: bisection, with the midpoints of several halvings
+evaluated in one batch and the halvings then replayed on the stored values,
+so that each crossing is bit for bit the one that halving one midpoint per
+evaluation would return.  ``C`` lies inside every ``g_j``'s domain, so the
 kernel treats a point where some ``g_j`` cannot be evaluated
 (:class:`~gaugecut.errors.EvalDomainError`) as a point outside ``C``.
 
@@ -66,7 +69,11 @@ __all__ = [
 # |max_j g_j| allowed at a returned boundary point
 BOUNDARY_TOL = 1e-9
 _DOUBLINGS = 60
-_BISECTIONS = 100
+_BISECTIONS = 100  # halvings per row
+# A bisection round evaluates at most about this many midpoints (see _bisect)
+_ROUND_POINTS = 64
+# Rows bisected together; bounds the size of a round's arrays
+_BLOCK_ROWS = 8192
 
 _SUPPORT_TOL = 1e-7
 
@@ -151,21 +158,26 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
     ``max_j g_j >= -BOUNDARY_TOL`` at the returned point.  Bisection is used
     on purpose: it needs only the sign change guaranteed by the
     preconditions, so it also handles non-convex constraint functions whose
-    restriction to the segment is not monotone.  An ``xbar`` outside the
-    constraints' domain counts as infeasible.
+    restriction to the segment is not monotone.  One evaluation of 63
+    points covers six halvings, and the result is the one a halving at a
+    time gives.  The precondition is checked at the search's first bracket
+    end ``x0 + 1.0 * (xbar - x0)``, which is ``xbar`` up to rounding; an
+    ``xbar`` outside the constraints' domain counts as infeasible.
     """
     cons = as_constraints(constraints)
     if cfg is None:
         cfg = SolverConfig()
     x0 = _strict_interior(cons, x0)
     xbar = np.asarray(xbar, dtype=float)
-    f1 = float(_fmax_rows(cons, xbar[None, :])[0])
-    if f1 <= 0.0:
+    D = (xbar - x0)[None, :]
+    # the kernel's first bracket end, evaluated once for both
+    f1 = _fmax_rows(cons, x0 + 1.0 * D)
+    if f1[0] <= 0.0:
         raise PreconditionError(
-            f"point to separate is feasible (max_j g_j = {f1:.6g})"
+            f"point to separate is feasible (max_j g_j = {f1[0]:.6g})"
         )
     t_star, ok = _boundary_crossings(
-        cons, x0, (xbar - x0)[None, :], tol=cfg.line_search_tol, settle=True
+        cons, x0, D, tol=cfg.line_search_tol, settle=True, f_one=f1
     )
     if not ok[0]:
         raise SeparationError(
@@ -254,17 +266,25 @@ def _boundary_crossings(
     D: np.ndarray,
     tol: float = 1e-13,
     settle: bool = False,
+    f_one: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``D``: the parameter ``t* > 0`` where ``max_j g_j(x0 + t d)``
     crosses zero, taken on the feasible side, bisected to a bracket width of
     at most ``tol * t_hi``.  ``settle`` also bisects on until ``max_j g_j >=
     -BOUNDARY_TOL`` at ``t*`` (grids leave it off: there it costs time and
-    leaves steep rays open).  Rows whose ray never leaves the set within the
-    doubling budget, or still open after the bisections, get ``ok = False``."""
+    leaves steep rays open).  ``f_one`` holds ``max_j g_j`` at the first
+    bracket ends ``x0 + 1.0 * d`` when the caller has already evaluated them.
+    Rows whose ray never leaves the set within the doubling budget, or still
+    open after ``_BISECTIONS`` halvings, get ``ok = False`` and a meaningless
+    ``t*``.
+
+    The doubling steps evaluate one point per open row.  The bisection is
+    batched (see :func:`_bisect`) but returns exactly what halving one
+    midpoint per evaluation would."""
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = np.ones(k)
-    f_hi = _fmax_rows(cons, x0 + t_hi[:, None] * D)
+    f_hi = _fmax_rows(cons, x0 + t_hi[:, None] * D) if f_one is None else f_one
     need = f_hi <= 0.0
     for _ in range(_DOUBLINGS):
         if not np.any(need):
@@ -275,28 +295,68 @@ def _boundary_crossings(
         f_new = _fmax_rows(cons, x0 + t_hi[idx, None] * D[idx])
         need[idx] = f_new <= 0.0
     ok = ~need
-    # the open rows' brackets, compacted whenever a row closes
     rows = np.nonzero(ok)[0]
-    lo, hi, Dr = t_lo[rows], t_hi[rows], D[rows]
-    f_lo = np.full(rows.size, -math.inf)  # unknown until a bisection lands inside
-    for _ in range(_BISECTIONS):
-        if rows.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = _fmax_rows(cons, x0 + mid[:, None] * Dr)
-        above = fm > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        still_open = hi - lo > tol * hi
-        if settle:
-            f_lo = np.where(above, f_lo, fm)
-            still_open |= f_lo < -BOUNDARY_TOL
-        if not still_open.all():
-            t_lo[rows] = lo
-            rows, lo, hi = rows[still_open], lo[still_open], hi[still_open]
-            Dr, f_lo = Dr[still_open], f_lo[still_open]
-    ok[rows] = False
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        still_open = _bisect(cons, x0, D, rows[start:start + _BLOCK_ROWS], t_lo, t_hi, tol, settle)
+        ok[still_open] = False
     return t_lo, ok
+
+
+def _bisect(cons, x0, D, rows, t_lo, t_hi, tol, settle) -> np.ndarray:
+    """Bisect the brackets ``[t_lo, t_hi]`` of ``rows``, writing each closed
+    row's ``t_lo``; returns the rows still open after ``_BISECTIONS``
+    halvings.
+
+    A round with ``R`` open rows takes ``d`` halvings at once, the most with
+    ``R (2^d - 1) <= _ROUND_POINTS`` (at least one).  It evaluates every
+    midpoint those halvings could visit in one call, each computed as the
+    same ``0.5 * (lo + hi)`` of the same bracket ends a single halving would
+    use, and then replays the halvings on the stored values: a midpoint
+    where ``max_j g_j > 0`` becomes ``hi``, any other becomes ``lo``.  The
+    stop test runs after every halving, so a row closes with the ``t_lo`` of
+    the first halving where it holds, as one halving per evaluation would
+    close it, also where the ray leaves and re-enters the set."""
+    lo, hi, Dr = t_lo[rows], t_hi[rows], D[rows]
+    f_lo = np.full(rows.size, -math.inf)  # unknown until a halving lands inside
+    done = 0
+    while rows.size and done < _BISECTIONS:
+        R = rows.size
+        d = min(max(1, (_ROUND_POINTS // R + 1).bit_length() - 1), _BISECTIONS - done)
+        s = 1 << d
+        # E[i]: the brackets cut into s dyadic pieces, one level of halvings
+        # at a time; a bracket [E[i], E[i + w]] has its midpoint at i + w/2
+        E = np.empty((s + 1, R))
+        E[0], E[s] = lo, hi
+        for w in (s >> j for j in range(d)):
+            E[w // 2::w] = 0.5 * (E[:-w:w] + E[w::w])
+        F = _fmax_rows(cons, (x0 + E[1:s, :, None] * Dr).reshape(-1, x0.size))
+        # replay on flat indices g * R + row into E: halving [E[g], E[g + 2h]]
+        # moves lo up to its midpoint g + h unless max_j g_j > 0 there
+        g = np.arange(1, s)
+        up = np.where(F.reshape(s - 1, R) > 0.0, 0, (g & -g)[:, None] * R).ravel()
+        half = s >> np.arange(1, d + 1)  # h of each halving: the bracket's new width
+        path = np.empty((d, R), dtype=np.intp)  # lo after each halving
+        pos = np.arange(R)
+        for j, h in enumerate(half.tolist()):
+            pos = pos + up[pos + (h - 1) * R]
+            path[j] = pos
+        Ef = E.ravel()
+        LO = Ef[path]
+        HI = Ef[path + half[:, None] * R]
+        still_open = HI - LO > tol * HI
+        if settle:
+            FL = np.concatenate((f_lo, F)).take(path)
+            still_open |= FL < -BOUNDARY_TOL
+            f_lo = FL[-1]
+        lo, hi = LO[-1], HI[-1]
+        done += d
+        keep = still_open.all(axis=0)
+        if not keep.all():
+            shut = np.nonzero(~keep)[0]
+            first = np.argmin(still_open[:, shut], axis=0)  # the halving that closed it
+            t_lo[rows[shut]] = LO[first, shut]
+            rows, lo, hi, f_lo, Dr = rows[keep], lo[keep], hi[keep], f_lo[keep], Dr[keep]
+    return rows
 
 
 def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:

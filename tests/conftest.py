@@ -1,3 +1,4 @@
+import inspect
 import sys
 from pathlib import Path
 
@@ -5,7 +6,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import make_circle, make_nonconvex_circle, make_thin
+from helpers import (
+    assert_same_crossings,
+    make_circle,
+    make_nonconvex_circle,
+    make_thin,
+    reference_boundary_crossings,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +31,27 @@ def _verify_every_lp_solve(monkeypatch):
 
     monkeypatch.setattr(lp_mod, "lp_solve", checked)
     monkeypatch.setattr(solve_mod, "lp_solve", checked)
+
+
+@pytest.fixture(autouse=True)
+def _verify_every_boundary_crossing(monkeypatch):
+    """Test mode: every call of the ray-crossing kernel anywhere in the suite
+    is checked against one halving per evaluation."""
+    import gaugecut.separation as sep
+
+    original = sep._boundary_crossings
+    signature = inspect.signature(original)
+
+    def checked(*args, **kwargs):
+        got = original(*args, **kwargs)
+        a = signature.bind(*args, **kwargs)
+        a.apply_defaults()
+        a = a.arguments
+        expect = reference_boundary_crossings(a["cons"], a["x0"], a["D"], a["tol"], a["settle"])
+        assert_same_crossings(got, expect)
+        return got
+
+    monkeypatch.setattr(sep, "_boundary_crossings", checked)
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ import json
 import numpy as np
 
 from gaugecut import Problem, QuadraticForm, load_problem
+from gaugecut.separation import _BISECTIONS, _DOUBLINGS, BOUNDARY_TOL
+from gaugecut.separation import _fmax_rows as _REFERENCE_FMAX
 
 
 def circle_dict(integer=(False, False), interior=True) -> dict:
@@ -54,6 +56,35 @@ def make_log(integer: bool = False) -> Problem:
         "objective": [1.0, 1.0],
         "constraints": [{"name": "log", "expr": "1 - log(x) - log(y)"}],
         "interior_point": [5.0, 5.0],
+    }))
+
+
+def make_ball_exp(n: int = 7) -> Problem:
+    """{sum x_i^2 <= 1} ∩ {sum exp(0.5 x_i) <= n + 0.5} on [-5, 5]^n: two
+    constraints, both active somewhere on the boundary."""
+    names = [f"x{i}" for i in range(n)]
+    return load_problem(json.dumps({
+        "variables": [{"name": v, "lb": -5.0, "ub": 5.0, "integer": False} for v in names],
+        "objective": [1.0] * n,
+        "constraints": [
+            {"name": "ball", "expr": " + ".join(f"{v}^2" for v in names) + " - 1"},
+            {"name": "exp", "expr": " + ".join(f"exp(0.5*{v})" for v in names) + f" - {n + 0.5}"},
+        ],
+        "interior_point": [0.0] * n,
+    }))
+
+
+def make_annulus() -> Problem:
+    """{(x^2 + y^2 - 1)(x^2 + y^2 - 4) <= 0}, the ring 1 <= |(x, y)| <= 2,
+    seen from (1.5, 0): rays toward the hole leave the set and re-enter it."""
+    return load_problem(json.dumps({
+        "variables": [
+            {"name": "x", "lb": -10.0, "ub": 10.0, "integer": False},
+            {"name": "y", "lb": -10.0, "ub": 10.0, "integer": False},
+        ],
+        "objective": [1.0, 0.0],
+        "constraints": [{"name": "ring", "expr": "(x^2 + y^2 - 1) * (x^2 + y^2 - 4)"}],
+        "interior_point": [1.5, 0.0],
     }))
 
 
@@ -173,3 +204,54 @@ def supporting_oracle_quadratic(
                 if affine_on_segment(g, endpoint, xbar, samples=17):
                     return True
     return False
+
+
+def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False):
+    """Test-only reference for ``separation._boundary_crossings``: the same
+    doubling, then bisection with one midpoint per row per evaluation.  The
+    kernel must return the same ``ok`` and, where ``ok``, bit-identical
+    ``t*``.  It evaluates through ``_REFERENCE_FMAX`` so that tests counting
+    the kernel's own evaluations do not count these."""
+    k = D.shape[0]
+    t_lo = np.zeros(k)
+    t_hi = np.ones(k)
+    f_hi = _REFERENCE_FMAX(cons, x0 + t_hi[:, None] * D)
+    need = f_hi <= 0.0
+    for _ in range(_DOUBLINGS):
+        if not np.any(need):
+            break
+        t_lo[need] = t_hi[need]
+        t_hi[need] *= 2.0
+        idx = np.nonzero(need)[0]
+        f_new = _REFERENCE_FMAX(cons, x0 + t_hi[idx, None] * D[idx])
+        need[idx] = f_new <= 0.0
+    ok = ~need
+    rows = np.nonzero(ok)[0]
+    lo, hi, Dr = t_lo[rows], t_hi[rows], D[rows]
+    f_lo = np.full(rows.size, -np.inf)  # unknown until a bisection lands inside
+    for _ in range(_BISECTIONS):
+        if rows.size == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = _REFERENCE_FMAX(cons, x0 + mid[:, None] * Dr)
+        above = fm > 0.0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        still_open = hi - lo > tol * hi
+        if settle:
+            f_lo = np.where(above, f_lo, fm)
+            still_open |= f_lo < -BOUNDARY_TOL
+        if not still_open.all():
+            t_lo[rows] = lo
+            rows, lo, hi = rows[still_open], lo[still_open], hi[still_open]
+            Dr, f_lo = Dr[still_open], f_lo[still_open]
+    ok[rows] = False
+    return t_lo, ok
+
+
+def assert_same_crossings(got, expect):
+    """The same ``ok`` and, where ``ok``, bit-identical crossings."""
+    t, ok = got
+    t_ref, ok_ref = expect
+    assert np.array_equal(ok, ok_ref)
+    assert t[ok].tobytes() == t_ref[ok].tobytes()

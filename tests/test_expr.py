@@ -120,6 +120,26 @@ def test_batched_matches_pointwise():
         assert batch[i] == eval_value(e, X[i])
 
 
+def test_constant_expressions_keep_their_shapes():
+    e = parse("2 * 3 + exp(0)", XY)
+    assert isinstance(eval_value(e, [0.3, 0.7]), float)
+    assert eval_value(e, [0.3, 0.7]) == 7.0
+    batch = eval_value(e, np.zeros((4, 2)))
+    assert batch.shape == (4,)
+    assert np.array_equal(batch, np.full(4, 7.0))
+
+
+def test_constant_domain_errors_stay_typed():
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        eval_value(parse("x + 1 / 0", XY), [1.0, 2.0])
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        eval_value(parse("1 / (2 - 2)", XY), np.ones((3, 2)))
+    with pytest.raises(EvalDomainError, match="negative power"):
+        eval_value(parse("0 ^ -1", XY), [1.0, 2.0])
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        eval_value(parse("y + exp(1000)", XY), [1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # properties: finite differences and round-trip
 # ---------------------------------------------------------------------------

@@ -20,12 +20,19 @@ from gaugecut import (
     line_search_boundary,
     parse,
 )
+from gaugecut import separation
 from gaugecut.model import SolverConfig, max_violation
+from gaugecut.separation import _boundary_crossings  # bound before any test patches it
 
 from helpers import (
+    assert_same_crossings,
+    make_annulus,
+    make_ball_exp,
     make_circle,
     make_log,
+    make_nonconvex_circle,
     random_psd_quadratic,
+    reference_boundary_crossings,
     sample_unit_disk,
 )
 
@@ -112,6 +119,96 @@ def test_line_search_respects_tolerance_config():
     cfg = SolverConfig(line_search_tol=1e-12)
     gr = line_search_boundary(cons, ORIGIN, [1.5, 1.5], cfg)
     assert abs(gr.lambda_star - 1.0 / (1.5 * SQRT2)) <= 2e-12
+
+
+def test_line_search_evaluation_budget(monkeypatch):
+    calls = []
+    original = separation._fmax_rows
+
+    def counted(cons, P):
+        calls.append(P.shape[0])
+        return original(cons, P)
+
+    monkeypatch.setattr(separation, "_fmax_rows", counted)
+    gr = line_search_boundary(make_circle().constraints, ORIGIN, [1.5, 1.5])
+    # xbar once, then about 30 halvings at six per evaluation of 63 points
+    assert len(calls) <= 7
+    assert calls[0] == 1 and max(calls) == 63
+    assert gr.lambda_star.hex() == "0x1.e2b7dddc00000p-2"
+
+
+# ---------------------------------------------------------------------------
+# the ray-crossing kernel: batched bisection against one halving per evaluation
+# ---------------------------------------------------------------------------
+
+KERNEL_SETS = {
+    "circle": make_circle,
+    "shell": make_nonconvex_circle,
+    "log": make_log,  # rays leave log's domain; rays toward (+, +) never leave
+    "ball_exp7": make_ball_exp,
+    "annulus": make_annulus,  # rays leave the set and re-enter it
+}
+
+
+def _rays(p, rows, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, p.n)) * rng.uniform(0.05, 8.0, size=(rows, 1))
+
+
+# 1 and 5 rows take several halvings per evaluation, 33 and more one; 20000
+# rows span three blocks.  log's domain-leaving rays are evaluated row by row
+# once a batch raises, which makes 20000 of them take seconds: they stop at 65.
+KERNEL_CASES = [
+    (name, rows)
+    for name in sorted(KERNEL_SETS)
+    for rows in (1, 5, 33, 64, 65, 20000)
+    if not (name == "log" and rows > 65)
+]
+
+
+@pytest.mark.parametrize("settle", [False, True])
+@pytest.mark.parametrize("name,rows", KERNEL_CASES)
+def test_boundary_crossings_match_one_halving_per_evaluation(name, rows, settle):
+    p = KERNEL_SETS[name]()
+    x0 = p.interior_point
+    D = _rays(p, rows)
+    tol = 1e-9 if settle else 1e-13  # the line search's and the grids' settings
+    got = _boundary_crossings(p.constraints, x0, D, tol=tol, settle=settle)
+    assert_same_crossings(got, reference_boundary_crossings(p.constraints, x0, D, tol, settle))
+    assert got[1].any()
+
+
+@pytest.mark.parametrize("settle", [False, True])
+def test_boundary_crossings_rays_that_never_leave(settle):
+    p = make_log()
+    D = np.vstack([[1.0, 1.0], [0.5, 2.0], _rays(p, 63, seed=3)])
+    got = _boundary_crossings(p.constraints, p.interior_point, D, tol=1e-9, settle=settle)
+    ref = reference_boundary_crossings(p.constraints, p.interior_point, D, 1e-9, settle)
+    assert_same_crossings(got, ref)
+    assert not got[1][0] and not got[1][1]
+
+
+@pytest.mark.parametrize("rows", [1, 65])
+@pytest.mark.parametrize("settle", [False, True])
+def test_boundary_crossings_rows_open_after_the_budget_are_not_ok(settle, rows):
+    p = make_annulus()
+    D = _rays(p, rows, seed=5)
+    got = _boundary_crossings(p.constraints, p.interior_point, D, tol=0.0, settle=settle)
+    ref = reference_boundary_crossings(p.constraints, p.interior_point, D, 0.0, settle)
+    assert_same_crossings(got, ref)
+    assert not got[1].any()
+
+
+@pytest.mark.parametrize("settle", [False, True])
+def test_boundary_crossings_budget_counts_halvings(settle):
+    # crossings at t = 1e-15 and 1e-20 from the bracket [0, 1]: about 93 and
+    # 109 halvings to a relative width of 1e-13, against a budget of 100
+    p = make_circle()
+    D = np.array([[1e15, 0.0], [1e20, 0.0]])
+    got = _boundary_crossings(p.constraints, ORIGIN, D, tol=1e-13, settle=settle)
+    ref = reference_boundary_crossings(p.constraints, ORIGIN, D, 1e-13, settle)
+    assert_same_crossings(got, ref)
+    assert got[1].tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------
