@@ -41,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
+from . import lp  # looked up per call, so wrappers installed on gaugecut.lp see probe solves
 from .errors import EvalDomainError, PreconditionError, SeparationError
 from .lp import Cut
 from .model import (
@@ -76,6 +77,8 @@ _ROUND_POINTS = 64
 _BLOCK_ROWS = 8192
 
 _SUPPORT_TOL = 1e-7
+# box doublings of check_supporting's search; 2^30 times the first box
+_PROBE_DOUBLINGS = 30
 
 
 def as_constraints(obj) -> tuple[Constraint, ...]:
@@ -114,11 +117,12 @@ class GaugeResult:
 class SupportVerdict:
     """Result of probing whether a valid cut touches the feasible set.
 
-    ``max_violation_gap`` is the smallest observed slack ``beta - alpha^T x``
-    over the probed boundary candidates; zero (within tolerance) at a
-    supporting cut.  The search is a heuristic for arbitrary cuts (false
-    negatives possible on nasty geometry); cuts generated at a boundary point
-    carry their own witness and are decided exactly.
+    ``max_violation_gap`` is the smallest slack ``beta - alpha^T x`` over the
+    feasible points found; zero (within tolerance) at a supporting cut.  A
+    ``True`` verdict carries a feasible ``witness`` where the cut is tight.
+    A ``False`` verdict is proven unless the search ran out of iterations or
+    doublings; one reached by doubling the box is proven inside the last box
+    only (see :func:`check_supporting`).
     """
 
     supporting: bool
@@ -160,24 +164,29 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
     preconditions, so it also handles non-convex constraint functions whose
     restriction to the segment is not monotone.  One evaluation of 63
     points covers six halvings, and the result is the one a halving at a
-    time gives.  The precondition is checked at the search's first bracket
-    end ``x0 + 1.0 * (xbar - x0)``, which is ``xbar`` up to rounding; an
-    ``xbar`` outside the constraints' domain counts as infeasible.
+    time gives.  The preconditions are checked in one evaluation of two
+    points: ``x0`` and the search's first bracket end ``x0 + 1.0 * (xbar -
+    x0)``, which is ``xbar`` up to rounding.  A point outside the
+    constraints' domain counts as infeasible, so such an ``x0`` is not
+    strictly interior.
     """
     cons = as_constraints(constraints)
     if cfg is None:
         cfg = SolverConfig()
-    x0 = _strict_interior(cons, x0)
+    x0 = np.asarray(x0, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
     D = (xbar - x0)[None, :]
-    # the kernel's first bracket end, evaluated once for both
-    f1 = _fmax_rows(cons, x0 + 1.0 * D)
-    if f1[0] <= 0.0:
+    f0, f1 = _fmax_rows(cons, np.vstack((x0, x0 + 1.0 * D)))
+    if f0 >= 0.0:
         raise PreconditionError(
-            f"point to separate is feasible (max_j g_j = {f1[0]:.6g})"
+            f"interior point is not strictly interior (max_j g_j = {f0:.6g})"
+        )
+    if f1 <= 0.0:
+        raise PreconditionError(
+            f"point to separate is feasible (max_j g_j = {f1:.6g})"
         )
     t_star, ok = _boundary_crossings(
-        cons, x0, D, tol=cfg.line_search_tol, settle=True, f_one=f1
+        cons, x0, D, tol=cfg.line_search_tol, settle=True, f_one=np.array([f1])
     )
     if not ok[0]:
         raise SeparationError(
@@ -187,10 +196,12 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
         )
     lo = float(t_star[0])
     xhat = x0 + lo * (xbar - x0)
-    gvals = constraint_values(cons, xhat)
-    active = [j for j in range(len(cons)) if gvals[j] >= -cfg.activity_tol]
-    if not active:
-        active = [int(np.argmax(gvals))]
+    active = [0]  # a single constraint is the attaining one
+    if len(cons) > 1:
+        gvals = constraint_values(cons, xhat)
+        active = [j for j in range(len(cons)) if gvals[j] >= -cfg.activity_tol]
+        if not active:
+            active = [int(np.argmax(gvals))]
     return GaugeResult(
         lambda_star=lo,
         gauge_value=1.0 / lo,
@@ -394,35 +405,6 @@ def _feasible_witness(cons, cut: Cut, x, tol: float) -> bool:
     return f <= tol and abs(cut.violation(x)) <= tol
 
 
-def _tangent_ascent(cons, x0, alpha, start, iters) -> np.ndarray:
-    """Maximize ``alpha^T x`` along the boundary: step along the component of
-    ``alpha`` tangent to the active constraint, re-project onto the boundary
-    by line search along the ray from ``x0``, keep improvements."""
-    x = np.array(start, dtype=float)
-    step = 0.5 * max(1.0, float(np.linalg.norm(x - x0)))
-    for k in range(iters):
-        _, j = max_violation(cons, x)
-        grad = ex.eval_grad(cons[j].expr, x).gradient
-        gg = float(grad @ grad)
-        if gg < ex.ZERO_GRADIENT_TOL:
-            break
-        tangent = alpha - (float(grad @ alpha) / gg) * grad
-        tnorm = float(np.linalg.norm(tangent))
-        if tnorm < 1e-12:
-            break  # alpha parallel to the active gradient: stationary point
-        z = x + (step / math.sqrt(k + 1.0)) * tangent / tnorm
-        t_z, ok_z = _boundary_crossings(cons, x0, (z - x0)[None, :])
-        if ok_z[0]:
-            z_proj = x0 + t_z[0] * (z - x0)
-            if float(alpha @ z_proj) > float(alpha @ x):
-                x = z_proj
-                continue
-        step *= 0.5
-        if step < 1e-12:
-            break
-    return x
-
-
 def check_supporting(
     constraints,
     cut: Cut,
@@ -433,37 +415,52 @@ def check_supporting(
     seed: int = 0,
     probe_segment=None,
 ) -> SupportVerdict:
-    """Search for a feasible point where the cut holds with equality.
+    """Decide whether the cut holds with equality at some feasible point,
+    i.e. whether the support function ``sigma_C(alpha) = max_{x in C}
+    alpha^T x`` reaches ``beta``.
 
     The cut's own generation point is checked first (exact for cuts built at
-    a boundary point).  Otherwise ``alpha^T x`` is maximized over the set:
-    boundary points are sampled along seeded random rays from the interior
-    point, the ray along ``alpha`` included, and the best one is polished by
-    tangent ascent along the boundary (step along the component of ``alpha``
-    orthogonal to the active gradient, then re-project onto the boundary by
-    line search).  ``probe_segment`` optionally adds the boundary point of an
-    explicit (interior, exterior) segment to the candidates.  A verdict of
-    ``False`` for a cut that was not generated on the boundary is heuristic
-    evidence, not a proof.
+    a boundary point), then the boundary point of ``probe_segment``, an
+    optional (interior, exterior) pair.  Otherwise ``sigma_C(alpha)`` is
+    computed by ESH: an LP maximizes ``alpha^T x`` over a box centred at the
+    interior point, and an infeasible maximizer is pulled back to the
+    boundary by line search, which adds its supporting cuts to the LP.  Each
+    LP value ``U`` bounds ``sigma_C`` from above within the box; each
+    feasible maximizer or boundary point ``x`` gives ``L = alpha^T x`` from
+    below.  The verdict is ``True`` once ``L >= beta - tol``; the witness is
+    that point.  Once ``U - L <= tol``:
+
+    * a maximizer off every box face is optimal without the box, so
+      ``sigma_C <= U < beta`` and ``False`` is proven;
+    * otherwise the box is doubled about the interior point, keeping the
+      cuts.  If that raised ``U`` by at most ``tol``, the verdict is
+      ``False``, proven inside the doubled box only: ``alpha^T x`` over
+      ``C`` intersected with the box scaled by ``s`` is concave and
+      nondecreasing in ``s`` but may still grow slowly beyond it.
+
+    ``ascent_iters`` bounds the ESH iterations per box (0 skips the search),
+    and at most ``_PROBE_DOUBLINGS`` doublings are made.  A ``False`` verdict
+    at either limit is not proven.  ``samples`` and ``seed`` are ignored:
+    the search draws no random rays.
 
     The search needs an interior point.  For a :class:`Problem` it comes from
     :func:`resolve_interior_point` (``interior_point``, then the problem's,
-    then a search); bare constraints must be given ``interior_point``.
+    then a search) and the first box is the problem's, made symmetric about
+    that point; bare constraints must be given ``interior_point`` and start
+    from the box of half-width 1 around it.
     """
     cons = as_constraints(constraints)
-    n = cut.alpha.shape[0]
     best_x: np.ndarray | None = None
     best_val = -math.inf
 
-    def consider(x: np.ndarray) -> None:
+    def consider(x: np.ndarray) -> float:
         nonlocal best_x, best_val
         f, _ = max_violation(cons, x)
-        if f > tol:
-            return
         v = float(cut.alpha @ x)
-        if v > best_val:
+        if f <= tol and v > best_val:
             best_val = v
             best_x = x
+        return best_val
 
     if cut.point is not None:
         consider(cut.point)
@@ -476,38 +473,55 @@ def check_supporting(
 
     if isinstance(constraints, Problem):
         x0 = resolve_interior_point(constraints, interior_point)
+        half = np.maximum(constraints.upper - x0, x0 - constraints.lower)
     elif interior_point is None:
         raise PreconditionError(
             "check_supporting needs interior_point when given bare constraints"
         )
     else:
         x0 = _strict_interior(cons, interior_point)
+        half = np.ones(x0.size)
 
-    rng = np.random.default_rng(seed)
-    directions = [cut.alpha / np.linalg.norm(cut.alpha)]
-    if samples > 0:
-        extra = rng.standard_normal((samples, n))
-        norms = np.linalg.norm(extra, axis=1)
-        directions.extend(extra[norms > 0] / norms[norms > 0, None])
-    D = np.vstack(directions)
-    t_star, ok = _boundary_crossings(cons, x0, D)
-    boundary = x0 + t_star[:, None] * D
-    skipped = int(np.count_nonzero(~ok))
-    if skipped:
-        warnings.warn(f"check_supporting: {skipped} probe ray(s) never left the set")
-    hit = np.nonzero(ok)[0]
-    for i in hit:
-        consider(boundary[i])
-
-    # polish the best few boundary samples by tangent ascent
-    order = hit[np.argsort(-(boundary[hit] @ cut.alpha))]
-    for i in order[:3]:
-        consider(_tangent_ascent(cons, x0, cut.alpha, boundary[i], ascent_iters))
+    if ascent_iters > 0 and best_val < cut.beta - tol:
+        model = lp.LpModel(x0 - half, x0 + half, -cut.alpha)
+        last_bound = -math.inf  # U at the end of the previous box
+        for _ in range(_PROBE_DOUBLINGS + 1):
+            found = _support_bound(cons, cut, x0, model, ascent_iters, tol, consider)
+            if found is None:
+                break  # out of iterations: not proven
+            bound, x = found
+            margin = lp.FEAS_TOL * (1.0 + half)
+            on_face = np.any(x - model.lower <= margin) or np.any(model.upper - x <= margin)
+            if best_val >= cut.beta - tol or not on_face or bound <= last_bound + tol:
+                break
+            last_bound = bound
+            half = 2.0 * half
+            model.lower, model.upper = x0 - half, x0 + half
 
     gap = math.inf if best_x is None else cut.beta - best_val
     if best_x is not None and _feasible_witness(cons, cut, best_x, tol):
         return SupportVerdict(True, best_x, gap)
     return SupportVerdict(False, None, gap)
+
+
+def _support_bound(cons, cut, x0, model, iters, tol, consider):
+    """ESH on ``max cut.alpha^T x`` over ``model``'s box: at most ``iters``
+    LP solves, stopping once ``consider``'s best value ``L`` reaches ``beta
+    - tol`` or the LP value ``U`` is within ``tol`` of it.  Returns ``(U,
+    maximizer)`` of the last LP, or None when neither happened."""
+    for _ in range(iters):
+        x = lp.lp_solve(model).x  # never infeasible: every cut keeps x0
+        bound = float(cut.alpha @ x)
+        if _fmax_rows(cons, x[None, :])[0] <= 0.0:
+            low = consider(x)
+        else:
+            gr = line_search_boundary(cons, x0, x)
+            low = consider(gr.boundary_point)
+            for c in esh_cut(cons, gr):
+                lp.add_cut(model, c)
+        if low >= cut.beta - tol or bound - low <= tol:
+            return bound, x
+    return None
 
 
 def affine_on_segment(g: ex.Expr, x0, xbar, samples: int = 33) -> bool:

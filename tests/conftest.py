@@ -18,9 +18,11 @@ from helpers import (
 @pytest.fixture(autouse=True)
 def _verify_every_lp_solve(monkeypatch):
     """Test mode: every optimal LP solution anywhere in the suite is checked
-    against its bounds and cut pool post-hoc."""
+    against its bounds and cut pool post-hoc.  The check replaces
+    ``lp_solve`` under every name a gaugecut module binds it to, so solves
+    reached through ``gaugecut.lp`` (as ``check_supporting``'s are) or
+    through a name imported from it are checked alike."""
     import gaugecut.lp as lp_mod
-    import gaugecut.solve as solve_mod
 
     original = lp_mod.lp_solve
 
@@ -29,8 +31,9 @@ def _verify_every_lp_solve(monkeypatch):
         lp_mod.check_solution(m, sol)
         return sol
 
-    monkeypatch.setattr(lp_mod, "lp_solve", checked)
-    monkeypatch.setattr(solve_mod, "lp_solve", checked)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gaugecut" and getattr(module, "lp_solve", None) is original:
+            monkeypatch.setattr(module, "lp_solve", checked)
 
 
 @pytest.fixture(autouse=True)

@@ -18,6 +18,7 @@ from gaugecut import (
     gauge_values,
     kelley_cut,
     line_search_boundary,
+    load_problem,
     parse,
 )
 from gaugecut import separation
@@ -123,17 +124,23 @@ def test_line_search_respects_tolerance_config():
 
 def test_line_search_evaluation_budget(monkeypatch):
     calls = []
-    original = separation._fmax_rows
 
-    def counted(cons, P):
-        calls.append(P.shape[0])
-        return original(cons, P)
+    def counting(fn):
+        def counted(cons, x):
+            calls.append(np.atleast_2d(x).shape[0])
+            return fn(cons, x)
+        return counted
 
-    monkeypatch.setattr(separation, "_fmax_rows", counted)
+    # the test-mode reference check evaluates on its own; the crossing is
+    # pinned bit for bit below instead
+    monkeypatch.setattr(separation, "_boundary_crossings", _boundary_crossings)
+    monkeypatch.setattr(separation, "constraint_values", counting(separation.constraint_values))
+    monkeypatch.setattr(separation, "max_violation", counting(separation.max_violation))
     gr = line_search_boundary(make_circle().constraints, ORIGIN, [1.5, 1.5])
-    # xbar once, then about 30 halvings at six per evaluation of 63 points
+    # x0 and xbar together, then about 30 halvings at six per evaluation of
+    # 63 points; one constraint needs no evaluation for the active set
     assert len(calls) <= 7
-    assert calls[0] == 1 and max(calls) == 63
+    assert calls[0] == 2 and max(calls) == 63
     assert gr.lambda_star.hex() == "0x1.e2b7dddc00000p-2"
 
 
@@ -450,6 +457,87 @@ def test_check_supporting_witness_invariant():
             assert abs(cut.alpha @ verdict.witness - cut.beta) <= 1e-7
             f, _ = max_violation(p.constraints, verdict.witness)
             assert f <= 1e-7
+
+
+def test_check_supporting_finds_a_witness_outside_the_problem_box():
+    # 6x - y <= 9 touches {y >= x^2} at (3, 9), above the box [-5, 5]^2
+    p = load_problem({
+        "variables": [{"name": v, "lb": -5.0, "ub": 5.0} for v in XY],
+        "objective": [0.0, 1.0],
+        "constraints": [{"name": "parabola", "expr": "x^2 - y"}],
+        "interior_point": [0.0, 1.0],
+    })
+    cut = kelley_cut(p.constraints[0].expr, [3.0, 0.0])
+    verdict = check_supporting(p, cut)
+    assert verdict.supporting
+    assert np.max(np.abs(verdict.witness - [3.0, 9.0])) <= 1e-2
+    assert abs(cut.violation(verdict.witness)) <= 1e-7
+    f, _ = max_violation(p.constraints, verdict.witness)
+    assert f <= 1e-7
+
+
+def test_check_supporting_cylinder_stops_when_doubling_is_flat():
+    # {x^2 <= 1} is a slab along y: the LP maximizer of x stays on a y face
+    # of every box, and doubling the box no longer raises max x
+    from gaugecut.model import Constraint
+
+    slab = (Constraint("slab", parse("x^2 - 1", XY)),)
+    cut = kelley_cut(slab[0].expr, [2.0, 0.0])  # x <= 1.25
+    verdict = check_supporting(slab, cut, interior_point=ORIGIN)
+    assert not verdict.supporting
+    assert abs(verdict.max_violation_gap - 0.25) <= 1e-6
+
+
+def test_check_supporting_lp_solves_are_checked(monkeypatch):
+    from gaugecut import lp as lp_mod
+
+    checked = []
+    original = lp_mod.check_solution
+
+    def counted(m, sol):
+        checked.append(sol)
+        original(m, sol)
+
+    monkeypatch.setattr(lp_mod, "check_solution", counted)
+    check_supporting(make_circle(), kelley_cut(CIRCLE, [1.5, 1.5]), interior_point=ORIGIN)
+    assert checked
+
+
+def _probe_point(rng, q: QuadraticForm) -> np.ndarray | None:
+    """A clearly infeasible point on a random ray from the origin; None when
+    the set is the whole space (A = 0 and b = 0)."""
+    for _ in range(20):
+        d = rng.standard_normal(q.n)
+        d /= np.linalg.norm(d)
+        for t in np.geomspace(0.5, 64.0, 20):
+            if q.value(t * d) > 0.1:
+                return t * d
+    return None
+
+
+def test_check_supporting_agrees_with_the_quadratic_classifier():
+    from gaugecut.model import Constraint
+
+    rng = np.random.default_rng(2024)
+    verdicts = {"always_supporting": 0, "never_supporting_from_infeasible": 0}
+    for k in range(40):
+        n = 1 + k % 4
+        # b in the range of a regular A, of a singular A, or outside the range
+        singular, b_in_range = [(False, True), (True, True), (False, False)][k % 3]
+        q = random_psd_quadratic(rng, n, singular, b_in_range)
+        xbar = _probe_point(rng, q)
+        if xbar is None:
+            continue
+        cons = (Constraint("q", q.to_expr()),)
+        cut = kelley_cut(cons[0].expr, xbar)
+        verdict = check_supporting(cons, cut, interior_point=np.zeros(n))
+        expected = classify_quadratic(q)
+        verdicts[expected] += 1
+        assert verdict.supporting == (expected == "always_supporting"), (k, n)
+        if verdict.supporting:
+            assert q.value(verdict.witness) <= 1e-7
+            assert abs(cut.violation(verdict.witness)) <= 1e-7
+    assert min(verdicts.values()) >= 10
 
 
 # ---------------------------------------------------------------------------
