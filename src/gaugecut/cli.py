@@ -36,7 +36,6 @@ from .lp import Cut
 from .model import (
     QuadraticForm,
     SolverConfig,
-    constraint_values,
     epsilon_relax,
     load_problem,
     resolve_interior_point,
@@ -45,15 +44,10 @@ from .separation import (
     check_supporting,
     classify_quadratic,
     esh_cut,
-    kelley_cut,
+    kelley_separator,
     line_search_boundary,
 )
-from .solve import (
-    check_esh_kcp_equivalence,
-    solve_bnb,
-    solve_esh,
-    solve_kelley,
-)
+from .solve import check_esh_kcp_equivalence, solve_bnb
 
 _USAGE_ERRORS = (ProblemFormatError, ParseError, PreconditionError, ValueError)
 _NUMERIC_ERRORS = (
@@ -170,12 +164,8 @@ def _make_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     p = _load(args)
     cfg = _build_config(args)
-    if bool(p.integrality.any()):
-        trace = solve_bnb(p, cfg, inner=args.algorithm)
-    elif args.algorithm == "esh":
-        trace = solve_esh(p, cfg)
-    else:
-        trace = solve_kelley(p, cfg)
+    # without integer variables solve_bnb runs the inner loop alone
+    trace = solve_bnb(p, cfg, inner=args.algorithm)
     n_cuts = len(trace.cuts)
     obj = "none" if trace.objective is None else f"{trace.objective:.6f}"
     print(f"status={trace.status} objective={obj} "
@@ -195,14 +185,11 @@ def _cmd_separate(args) -> int:
     cfg = _build_config(args)
     xbar = _parse_point(args.point)
     if args.method == "kelley":
-        gvals = constraint_values(p.constraints, xbar)
-        violated = [j for j in range(len(p.constraints)) if gvals[j] > 0.0]
-        if not violated:
+        fmax, cuts = kelley_separator(p.constraints)(xbar, 0.0)
+        if not cuts:
             raise PreconditionError(
-                f"point does not violate any constraint (max_j g_j = {float(np.max(gvals)):.6g})"
+                f"point does not violate any constraint (max_j g_j = {fmax:.6g})"
             )
-        cuts = [kelley_cut(p.constraints[j].expr, xbar, p.constraints[j].name)
-                for j in violated]
         out = {"cuts": [cut.to_json() for cut in cuts]}
     else:
         x0 = resolve_interior_point(p, cfg.interior_point)

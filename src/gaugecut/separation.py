@@ -1,28 +1,29 @@
-"""Cut generation and the geometry toolkit around it.
+"""Cut generation, the cutting-plane loop, and the geometry around them.
 
-Two ways to separate an infeasible point ``xbar`` from ``C = {g_j <= 0}``:
+:func:`cutting_plane` is Kelley's loop: solve the LP, add the cuts a
+separation oracle returns for its solution ``xbar``, repeat.  The two
+oracles for ``C = {g_j <= 0}``:
 
-* :func:`kelley_cut` linearizes a violated constraint at ``xbar`` itself.
-  Such cuts are valid for convex ``g`` but in general do not touch ``C``.
-* :func:`line_search_boundary` + :func:`esh_cut` first walk from a strict
-  interior point toward ``xbar`` until the boundary, then linearize the
-  active constraints there.  These cuts support ``C`` by construction, and
-  the construction works even when the ``g_j`` are non-convex functions with
-  a convex sublevel set, as long as active gradients do not vanish on the
-  boundary.
+* :func:`kelley_separator` linearizes every violated constraint at ``xbar``
+  itself (:func:`kelley_cut`).  Such cuts are valid for convex ``g`` but in
+  general do not touch ``C``.
+* :func:`gauge_separator` walks from a strict interior point toward ``xbar``
+  until the boundary (:func:`line_search_boundary`), then linearizes the
+  active constraints there (:func:`esh_cut`).  These cuts support ``C`` by
+  construction, also for non-convex ``g_j`` with a convex sublevel set, as
+  long as active gradients do not vanish on the boundary.
 
-The line search simultaneously evaluates the gauge (Minkowski functional) of
-``C`` with respect to the interior point: the boundary crossing at parameter
-``lambda*`` gives gauge value ``1/lambda*``.  :func:`gauge_values` extends the
-evaluation to arbitrary points (feasible ones get ``lambda* > 1``), which is
-what :func:`gauge_subgradient_check` uses to certify that a normalized
-supporting cut is a subgradient inequality of the gauge.  Both run on one
-ray-crossing kernel: bisection, with the midpoints of several halvings
-evaluated in one batch and the halvings then replayed on the stored values,
-so that each crossing is bit for bit the one that halving one midpoint per
-evaluation would return.  ``C`` lies inside every ``g_j``'s domain, so the
-kernel treats a point where some ``g_j`` cannot be evaluated
-(:class:`~gaugecut.errors.EvalDomainError`) as a point outside ``C``.
+ESH's oracle is Kelley's applied to ``gauge(x) <= 1``, the gauge (Minkowski
+functional) of ``C`` about the interior point: the line search evaluates it,
+``1/lambda*`` at the crossing ``lambda*``, and the ESH cut is Kelley's cut on
+it up to scaling.  :func:`check_supporting` runs the same loop on ``max
+alpha^T x``.  :func:`gauge_values` evaluates the gauge at any points, for
+:func:`gauge_subgradient_check` to certify a normalized supporting cut as a
+gauge subgradient inequality.  It and the line search share one ray-crossing
+kernel: bisection, with the midpoints of several halvings evaluated in one
+batch and the halvings replayed on the stored values, so that each crossing
+is bit for bit the one that one halving per evaluation returns.  A point
+outside some ``g_j``'s domain lies outside ``C``.
 
 :func:`affine_on_segment` and :func:`classify_quadratic` decide when plain
 linearization cuts happen to be supporting: exactly when the constraint is
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +62,9 @@ __all__ = [
     "kelley_cut",
     "line_search_boundary",
     "esh_cut",
+    "cutting_plane",
+    "kelley_separator",
+    "gauge_separator",
     "check_supporting",
     "affine_on_segment",
     "classify_quadratic",
@@ -131,7 +136,7 @@ class SupportVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Gradient cuts
+# Gradient cuts, and the cutting-plane loop over their two oracles
 # ---------------------------------------------------------------------------
 
 
@@ -236,6 +241,53 @@ def esh_cut(constraints, gr: GaugeResult) -> list[Cut]:
             Cut(res.gradient, beta, origin="esh", constraint=cons[j].name, point=xhat)
         )
     return cuts
+
+
+def cutting_plane(model: lp.LpModel, separate, eps: float):
+    """Kelley's loop on ``model``: solve the LP, add the cuts of ``separate(x,
+    eps) -> (violation, cuts)`` at its solution ``x``, and yield ``(solution,
+    violation, added)``, ``added`` being the cuts new to the pool.  It ends
+    by itself only on an infeasible LP; other stop rules are the caller's."""
+    while True:
+        sol = lp.lp_solve(model)
+        if sol.status == "infeasible":
+            return
+        violation, cuts = separate(sol.x, eps)
+        yield sol, violation, tuple(cut for cut in cuts if lp.add_cut(model, cut))
+
+
+def kelley_separator(constraints):
+    """Kelley's oracle: the violation ``max_j g_j(x)`` and, above ``eps``,
+    the linearization of every ``g_j > 0`` at ``x``.  An
+    :class:`~gaugecut.errors.EvalDomainError` at ``x`` propagates."""
+    cons = as_constraints(constraints)
+
+    def separate(x, eps):
+        gvals = constraint_values(cons, x)
+        fmax = float(np.max(gvals))
+        if fmax <= eps:
+            return fmax, []
+        return fmax, [kelley_cut(c.expr, x, c.name) for c, g in zip(cons, gvals) if g > 0.0]
+
+    return separate
+
+
+def gauge_separator(constraints, x0, cfg: SolverConfig | None = None):
+    """ESH's oracle, Kelley's on ``gauge(x) <= 1``: the violation ``max_j
+    g_j(x)`` (``inf`` outside some ``g_j``'s domain) and, above ``eps``, the
+    :func:`esh_cut` cuts where the segment from ``x0`` to ``x`` leaves ``C``."""
+    cons = as_constraints(constraints)
+
+    def separate(x, eps):
+        try:
+            fmax = float(np.max(constraint_values(cons, x)))
+        except EvalDomainError:
+            fmax = math.inf
+        if fmax <= eps:
+            return fmax, []
+        return fmax, esh_cut(cons, line_search_boundary(cons, x0, x, cfg))
+
+    return separate
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +474,14 @@ def check_supporting(
     The cut's own generation point is checked first (exact for cuts built at
     a boundary point), then the boundary point of ``probe_segment``, an
     optional (interior, exterior) pair.  Otherwise ``sigma_C(alpha)`` is
-    computed by ESH: an LP maximizes ``alpha^T x`` over a box centred at the
-    interior point, and an infeasible maximizer is pulled back to the
-    boundary by line search, which adds its supporting cuts to the LP.  Each
-    LP value ``U`` bounds ``sigma_C`` from above within the box; each
-    feasible maximizer or boundary point ``x`` gives ``L = alpha^T x`` from
-    below.  The verdict is ``True`` once ``L >= beta - tol``; the witness is
-    that point.  Once ``U - L <= tol``:
+    computed by ESH, :func:`cutting_plane` with :func:`gauge_separator`: an
+    LP maximizes ``alpha^T x`` over a box centred at the interior point, and
+    an infeasible maximizer is pulled back to the boundary by line search,
+    which adds its supporting cuts to the LP.  Each LP value ``U`` bounds
+    ``sigma_C`` from above within the box; each feasible maximizer or
+    boundary point ``x`` gives ``L = alpha^T x`` from below.  The verdict is
+    ``True``, with that point as witness, once ``L >= beta - tol``.  Once
+    ``U - L <= tol``:
 
     * a maximizer off every box face is optimal without the box, so
       ``sigma_C <= U < beta`` and ``False`` is proven;
@@ -453,14 +506,13 @@ def check_supporting(
     best_x: np.ndarray | None = None
     best_val = -math.inf
 
-    def consider(x: np.ndarray) -> float:
+    def consider(x: np.ndarray) -> None:
         nonlocal best_x, best_val
         f, _ = max_violation(cons, x)
         v = float(cut.alpha @ x)
         if f <= tol and v > best_val:
             best_val = v
             best_x = x
-        return best_val
 
     if cut.point is not None:
         consider(cut.point)
@@ -484,14 +536,24 @@ def check_supporting(
 
     if ascent_iters > 0 and best_val < cut.beta - tol:
         model = lp.LpModel(x0 - half, x0 + half, -cut.alpha)
+        gauge = gauge_separator(cons, x0)
+
+        def separate(x, eps):
+            violation, cuts = gauge(x, eps)
+            consider(cuts[0].point if cuts else x)
+            return violation, cuts
+
         last_bound = -math.inf  # U at the end of the previous box
         for _ in range(_PROBE_DOUBLINGS + 1):
-            found = _support_bound(cons, cut, x0, model, ascent_iters, tol, consider)
-            if found is None:
+            # the LP is never infeasible: every cut keeps x0
+            for sol, _, _ in islice(cutting_plane(model, separate, 0.0), ascent_iters):
+                bound = float(cut.alpha @ sol.x)
+                if best_val >= cut.beta - tol or bound - best_val <= tol:
+                    break
+            else:
                 break  # out of iterations: not proven
-            bound, x = found
             margin = lp.FEAS_TOL * (1.0 + half)
-            on_face = np.any(x - model.lower <= margin) or np.any(model.upper - x <= margin)
+            on_face = np.any(sol.x - model.lower <= margin) or np.any(model.upper - sol.x <= margin)
             if best_val >= cut.beta - tol or not on_face or bound <= last_bound + tol:
                 break
             last_bound = bound
@@ -502,26 +564,6 @@ def check_supporting(
     if best_x is not None and _feasible_witness(cons, cut, best_x, tol):
         return SupportVerdict(True, best_x, gap)
     return SupportVerdict(False, None, gap)
-
-
-def _support_bound(cons, cut, x0, model, iters, tol, consider):
-    """ESH on ``max cut.alpha^T x`` over ``model``'s box: at most ``iters``
-    LP solves, stopping once ``consider``'s best value ``L`` reaches ``beta
-    - tol`` or the LP value ``U`` is within ``tol`` of it.  Returns ``(U,
-    maximizer)`` of the last LP, or None when neither happened."""
-    for _ in range(iters):
-        x = lp.lp_solve(model).x  # never infeasible: every cut keeps x0
-        bound = float(cut.alpha @ x)
-        if _fmax_rows(cons, x[None, :])[0] <= 0.0:
-            low = consider(x)
-        else:
-            gr = line_search_boundary(cons, x0, x)
-            low = consider(gr.boundary_point)
-            for c in esh_cut(cons, gr):
-                lp.add_cut(model, c)
-        if low >= cut.beta - tol or bound - low <= tol:
-            return bound, x
-    return None
 
 
 def affine_on_segment(g: ex.Expr, x0, xbar, samples: int = 33) -> bool:

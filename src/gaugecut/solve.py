@@ -2,13 +2,13 @@
 (ESH) loop, their equivalence harness through the gauge, and branch-and-bound
 for integer variables.
 
-Both continuous loops share one skeleton: solve the LP relaxation, stop when
-the iterate's worst constraint violation is within ``eps_feas``, otherwise add
-cuts and repeat.  They differ only in where cuts are linearized — at the LP
-iterate itself (Kelley) or at the boundary point found by a line search from
-an interior point (ESH).  Integrality is handled outside the loops by
-best-first branch and bound; cuts are valid for the continuous region
-independently of integrality, so the pool is shared across all nodes.
+There is one loop, :func:`~gaugecut.separation.cutting_plane`, and two
+separation oracles: Kelley's linearizes at the LP iterate; ESH's linearizes
+where a line search from an interior point meets the boundary, which is
+Kelley's oracle on ``gauge(x) <= 1``.  The loop stops once the worst
+violation is within ``eps_feas``.  Best-first branch and bound runs it at
+every node; cuts are valid for the continuous region whatever the
+integrality, so all nodes share one pool.
 """
 
 from __future__ import annotations
@@ -19,27 +19,27 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import expr as ex
-from .errors import EvalDomainError, SeparationError, SolveStallError
-from .lp import Cut, LpBasis, LpModel, add_cut, lp_solve
-from .model import (
-    Problem,
-    SolverConfig,
-    constraint_values,
-    max_violation,  # noqa: F401  perfbench/tracer.py patches it by name here
-    resolve_interior_point,
-)
+from .errors import SeparationError, SolveStallError
+from .lp import Cut, LpBasis, LpModel
+from .model import Problem, SolverConfig, constraint_values, resolve_interior_point
 from .separation import (
-    esh_cut,
-    gauge_values,
+    cutting_plane,
+    gauge_separator,
     gauge_subgradient_check,
-    kelley_cut,
+    gauge_values,
+    kelley_separator,
     line_search_boundary,
 )
+# unused here, but perfbench/tracer.py patches these names in this module too
+from .lp import add_cut, lp_solve  # noqa: F401
+from .model import max_violation  # noqa: F401
+from .separation import esh_cut, kelley_cut  # noqa: F401
 
 __all__ = [
     "IterationRecord",
@@ -119,62 +119,56 @@ class SolveTrace:
 
 
 def _cutting_plane(
-    p: Problem,
-    model: LpModel,
-    cfg: SolverConfig,
-    method: str,
-    x0: np.ndarray | None,
+    model: LpModel, separate, cfg: SolverConfig
 ) -> tuple[str, np.ndarray | None, float | None, list[IterationRecord]]:
-    """Shared loop on ``model``'s current box.  Cuts added here stay in the
-    model's pool, and each LP re-solve starts from the model's last basis."""
-    cons = p.constraints
+    """The loop on ``model``'s box until an ``eps_feas``-feasible iterate
+    (``optimal_eps``), an iterate whose cuts the pool already holds
+    (``stalled``), ``max_iters`` LP solves, or an infeasible LP."""
     records: list[IterationRecord] = []
-    x = None
-    obj = None
-    for _ in range(cfg.max_iters):
-        sol = lp_solve(model)
-        if sol.status == "infeasible":
-            return "infeasible", None, None, records
+    x = obj = None
+    for sol, violation, added in islice(cutting_plane(model, separate, cfg.eps_feas),
+                                        cfg.max_iters):
         x, obj = sol.x, sol.objective_value
-        try:
-            gvals = constraint_values(cons, x)
-        except EvalDomainError:
-            if method == "kelley":
-                raise  # Kelley linearizes at x itself
-            # C lies inside every g_j's domain: x is infeasible, ESH separates it
-            gvals = np.full(len(cons), math.inf)
-        fmax = float(np.max(gvals))
-        if fmax <= cfg.eps_feas:
-            records.append(IterationRecord(x, fmax, obj, ()))
+        records.append(IterationRecord(x, violation, obj, added))
+        if violation <= cfg.eps_feas:
             return "optimal_eps", x, obj, records
-        if method == "kelley":
-            new_cuts = [
-                kelley_cut(cons[j].expr, x, cons[j].name)
-                for j in range(len(cons))
-                if gvals[j] > 0.0
-            ]
-        else:
-            gr = line_search_boundary(cons, x0, x, cfg)
-            new_cuts = esh_cut(cons, gr)
-        added = tuple(cut for cut in new_cuts if add_cut(model, cut))
-        records.append(IterationRecord(x, fmax, obj, added))
         if not added:
             # every new cut deduplicated against the pool: the LP cannot move.
             # Happens only when eps_feas asks for more resolution than the
             # 1e-9 cut deduplication tolerance can deliver.
             return "stalled", x, obj, records
+    if len(records) < cfg.max_iters:
+        return "infeasible", None, None, records
     return "iteration_limit", x, obj, records
+
+
+def _separator(p: Problem, cfg: SolverConfig, inner: str):
+    """The separation oracle of the inner loop ``inner`` on ``p``."""
+    if inner == "kelley":
+        return kelley_separator(p.constraints)
+    if inner == "esh":
+        return gauge_separator(p.constraints, resolve_interior_point(p, cfg.interior_point), cfg)
+    raise ValueError(f"inner must be 'kelley' or 'esh', got {inner!r}")
+
+
+def _solve(p: Problem, cfg: SolverConfig, separate) -> SolveTrace:
+    """The loop on the continuous relaxation of ``p``; a stall raises."""
+    status, x, obj, records = _cutting_plane(LpModel(p.lower, p.upper, p.objective), separate, cfg)
+    if status == "stalled":
+        raise SolveStallError(
+            "no new cut could be added although the iterate is infeasible; "
+            "eps_feas asks for more resolution than the cut deduplication "
+            "tolerance (1e-9) can deliver",
+            trace=SolveTrace(records, "error", None, None),
+        )
+    return SolveTrace(records, status, x, obj)
 
 
 def solve_kelley(p: Problem, cfg: SolverConfig | None = None) -> SolveTrace:
     """Kelley's cutting plane algorithm on the continuous relaxation: solve
     the LP, linearize every violated constraint at the LP iterate, repeat
     until the iterate is ``eps_feas``-feasible.  Integrality is ignored."""
-    cfg = cfg or SolverConfig()
-    model = LpModel(p.lower, p.upper, p.objective)
-    status, x, obj, records = _cutting_plane(p, model, cfg, "kelley", None)
-    _raise_if_stalled(status, records)
-    return SolveTrace(records, status, x, obj)
+    return _solve(p, cfg or SolverConfig(), kelley_separator(p.constraints))
 
 
 def solve_esh(p: Problem, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -185,21 +179,7 @@ def solve_esh(p: Problem, cfg: SolverConfig | None = None) -> SolveTrace:
     constraint functions with a convex sublevel set, provided active gradients
     do not vanish on the boundary (checked at every visited point)."""
     cfg = cfg or SolverConfig()
-    x0 = resolve_interior_point(p, cfg.interior_point)
-    model = LpModel(p.lower, p.upper, p.objective)
-    status, x, obj, records = _cutting_plane(p, model, cfg, "esh", x0)
-    _raise_if_stalled(status, records)
-    return SolveTrace(records, status, x, obj)
-
-
-def _raise_if_stalled(status: str, records: list[IterationRecord]) -> None:
-    if status == "stalled":
-        raise SolveStallError(
-            "no new cut could be added although the iterate is infeasible; "
-            "eps_feas asks for more resolution than the cut deduplication "
-            "tolerance (1e-9) can deliver",
-            trace=SolveTrace(records, "error", None, None),
-        )
+    return _solve(p, cfg, _separator(p, cfg, "esh"))
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +341,10 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
     unchanged.
     """
     cfg = cfg or SolverConfig()
-    if inner not in ("kelley", "esh"):
-        raise ValueError(f"inner must be 'kelley' or 'esh', got {inner!r}")
+    separate = _separator(p, cfg, inner)
     if not bool(p.integrality.any()):
-        return solve_kelley(p, cfg) if inner == "kelley" else solve_esh(p, cfg)
+        return _solve(p, cfg, separate)
 
-    x0 = resolve_interior_point(p, cfg.interior_point) if inner == "esh" else None
     model = LpModel(p.lower, p.upper, p.objective)
     int_idx = np.nonzero(p.integrality)[0]
 
@@ -392,36 +370,29 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
             continue
         nodes_processed += 1
         model.lower, model.upper, model.basis = node.lower, node.upper, node.basis
-        status, x, obj, node_records = _cutting_plane(p, model, cfg, inner, x0)
+        status, x, obj, node_records = _cutting_plane(model, separate, cfg)
         if status == "infeasible":
             continue
         assert x is not None and obj is not None
         node_cuts = tuple(cut for rec in node_records for cut in rec.cuts)
         fmax = node_records[-1].violation
 
-        if status == "optimal_eps":
-            frac = np.abs(x[int_idx] - np.round(x[int_idx]))
-            if np.all(frac <= INT_TOL):
-                if obj < incumbent_val:
-                    incumbent_val = obj
-                    incumbent_x = x
-            else:
-                j = int(int_idx[int(np.argmax(frac))])
-                if obj < incumbent_val - BNB_GAP:
-                    _push_children(heap, node, j, x[j], obj, model.basis, counter + 1)
-                    counter += 2
+        frac = np.abs(x[int_idx] - np.round(x[int_idx]))
+        integral = bool(np.all(frac <= INT_TOL))
+        if status == "optimal_eps" and integral:
+            if obj < incumbent_val:
+                incumbent_val = obj
+                incumbent_x = x
+        elif obj >= incumbent_val - BNB_GAP:
+            pass  # dominated however the node would resolve
+        elif not integral:
+            j = int(int_idx[int(np.argmax(frac))])
+            _push_children(heap, node, j, x[j], obj, model.basis, counter + 1)
+            counter += 2
         else:
-            # inner iteration limit or numerical stall: the LP value is still
-            # a valid lower bound, but eps-feasibility was not certified
-            frac = np.abs(x[int_idx] - np.round(x[int_idx]))
-            if obj >= incumbent_val - BNB_GAP:
-                pass  # dominated regardless of how the node would resolve
-            elif np.any(frac > INT_TOL):
-                j = int(int_idx[int(np.argmax(frac))])
-                _push_children(heap, node, j, x[j], obj, model.basis, counter + 1)
-                counter += 2
-            else:
-                unresolved = True  # cannot branch, cannot certify: no proof
+            # inner loop stopped short (iteration limit or stall) at an integral
+            # point: nothing to branch on, and no eps-feasibility certified
+            unresolved = True
 
         frontier = heap[0][0] if heap else (incumbent_val if incumbent_x is not None else obj)
         records.append(IterationRecord(x, fmax, float(frontier), node_cuts))

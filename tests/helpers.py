@@ -8,7 +8,20 @@ import json
 
 import numpy as np
 
-from gaugecut import Problem, QuadraticForm, load_problem
+from gaugecut import (
+    Cut,
+    EvalDomainError,
+    LpModel,
+    Problem,
+    QuadraticForm,
+    SolverConfig,
+    add_cut,
+    eval_grad,
+    eval_value,
+    line_search_boundary,
+    load_problem,
+    lp_solve,
+)
 from gaugecut.separation import _BISECTIONS, _DOUBLINGS, BOUNDARY_TOL
 from gaugecut.separation import _fmax_rows as _REFERENCE_FMAX
 
@@ -255,3 +268,34 @@ def assert_same_crossings(got, expect):
     t_ref, ok_ref = expect
     assert np.array_equal(ok, ok_ref)
     assert t[ok].tobytes() == t_ref[ok].tobytes()
+
+
+def kelley_on_gauge(p: Problem, cfg: SolverConfig) -> tuple[int, int, float]:
+    """Kelley's loop on the single constraint ``phi(y) - 1 <= 0``, ``phi`` the
+    gauge of the feasible set about the problem's interior point ``x0``,
+    written with the public pieces and a loop of its own.
+
+    At an LP point ``x`` the line search gives the boundary point ``xhat``
+    with ``phi(x) = 1 / lambda*``.  For each active gradient ``v`` there,
+    ``s = v / (v^T (xhat - x0))`` is a subgradient of ``phi`` at ``x`` with
+    ``s^T (x - x0) = phi(x)``, so Kelley's cut ``phi(x) + s^T (y - x) <= 1``
+    is ``s^T (y - x0) <= 1``.  The loop stops, like ESH, once ``max_j g_j <=
+    eps_feas``.  Returns the LP solves, the cuts added and the objective."""
+    x0 = p.interior_point
+    model = LpModel(p.lower, p.upper, p.objective)
+    cuts = 0
+    for solves in range(1, cfg.max_iters + 1):
+        sol = lp_solve(model)
+        try:
+            fmax = max(float(eval_value(c.expr, sol.x)) for c in p.constraints)
+        except EvalDomainError:
+            fmax = np.inf
+        if fmax <= cfg.eps_feas:
+            return solves, cuts, sol.objective_value
+        gr = line_search_boundary(p.constraints, x0, sol.x, cfg)
+        xhat = gr.boundary_point
+        for j in gr.active_set:
+            v = eval_grad(p.constraints[j].expr, xhat).gradient
+            s = v / float(v @ (xhat - x0))
+            cuts += add_cut(model, Cut(s, 1.0 + float(s @ x0), origin="kelley"))
+    raise AssertionError(f"no eps_feas-feasible iterate in {cfg.max_iters} LP solves")
