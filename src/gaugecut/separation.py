@@ -307,20 +307,16 @@ def _strict_interior(cons: Sequence[Constraint], x0) -> np.ndarray:
 
 def _fmax_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
     """``max_j g_j`` at each row of ``P``; a row outside some ``g_j``'s
-    domain is outside ``C`` and reads ``+inf``.  Rows are evaluated one by
-    one only after the batch raised, so such a row leaves the others'
-    values unchanged."""
+    domain is outside ``C`` and reads ``+inf``.  A batch that raised is
+    evaluated again in halves, down to single rows, so such a row leaves
+    the others' values unchanged."""
     try:
         return constraint_values(cons, P).max(axis=0)
     except EvalDomainError:
-        pass
-    out = np.empty(P.shape[0])
-    for i, x in enumerate(P):
-        try:
-            out[i], _ = max_violation(cons, x)
-        except EvalDomainError:
-            out[i] = math.inf
-    return out
+        if P.shape[0] == 1:
+            return np.array([math.inf])
+    h = P.shape[0] // 2
+    return np.concatenate((_fmax_rows(cons, P[:h]), _fmax_rows(cons, P[h:])))
 
 
 def _boundary_crossings(

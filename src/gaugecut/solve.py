@@ -8,7 +8,10 @@ where a line search from an interior point meets the boundary, which is
 Kelley's oracle on ``gauge(x) <= 1``.  The loop stops once the worst
 violation is within ``eps_feas``.  Best-first branch and bound runs it at
 every node; cuts are valid for the continuous region whatever the
-integrality, so all nodes share one pool.
+integrality, so all nodes share one pool.  A node branches at its
+``FRACTIONAL_ROUNDS``-th fractional, ``eps_feas``-infeasible LP point, as in
+LP/NLP-based branch and bound (Quesada & Grossmann 1992); an integral LP
+point is separated down to ``eps_feas``.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ __all__ = [
 BNB_GAP = 1e-6
 # how close an LP value must be to an integer to count as integral
 INT_TOL = 1e-6
+# the fractional, eps-infeasible LP point at which a B&B node stops cutting
+# and branches
+FRACTIONAL_ROUNDS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,14 +124,22 @@ class SolveTrace:
         return text
 
 
+def _fractionality(x: np.ndarray, int_idx: np.ndarray) -> np.ndarray:
+    """Distance of each integer variable's value to the nearest integer."""
+    return np.abs(x[int_idx] - np.round(x[int_idx]))
+
+
 def _cutting_plane(
-    model: LpModel, separate, cfg: SolverConfig
+    model: LpModel, separate, cfg: SolverConfig, int_idx: np.ndarray = np.empty(0, dtype=int)
 ) -> tuple[str, np.ndarray | None, float | None, list[IterationRecord]]:
     """The loop on ``model``'s box until an ``eps_feas``-feasible iterate
     (``optimal_eps``), an iterate whose cuts the pool already holds
-    (``stalled``), ``max_iters`` LP solves, or an infeasible LP."""
+    (``stalled``), the ``FRACTIONAL_ROUNDS``-th infeasible iterate that is
+    fractional in some variable of ``int_idx`` (``fractional``; its cuts
+    are added too), ``max_iters`` LP solves, or an infeasible LP."""
     records: list[IterationRecord] = []
     x = obj = None
+    fractional = 0
     for sol, violation, added in islice(cutting_plane(model, separate, cfg.eps_feas),
                                         cfg.max_iters):
         x, obj = sol.x, sol.objective_value
@@ -137,6 +151,10 @@ def _cutting_plane(
             # Happens only when eps_feas asks for more resolution than the
             # 1e-9 cut deduplication tolerance can deliver.
             return "stalled", x, obj, records
+        if np.any(_fractionality(x, int_idx) > INT_TOL):
+            fractional += 1
+            if fractional == FRACTIONAL_ROUNDS:
+                return "fractional", x, obj, records
     if len(records) < cfg.max_iters:
         return "infeasible", None, None, records
     return "iteration_limit", x, obj, records
@@ -327,6 +345,14 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
     """Best-first branch and bound over the integer variables; each node runs
     the chosen continuous cutting-plane loop on its restricted box.
 
+    A node ends at its ``FRACTIONAL_ROUNDS``-th LP point that is fractional
+    and violated by more than ``eps_feas``, and branches on it with that LP
+    value as its children's bound (single-tree, or LP/NLP-based, branch and
+    bound); the cuts of every such point go into the pool.  An integral LP
+    point is separated until it is ``eps_feas``-feasible, so an incumbent
+    always is.  A branched node's record may therefore carry a violation
+    above ``eps_feas``.
+
     The cut pool is shared globally across nodes: every cut is valid for the
     continuous feasible region itself, never derived from integrality, so
     work done in one node tightens all others.  One LP model serves the whole
@@ -370,14 +396,14 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
             continue
         nodes_processed += 1
         model.lower, model.upper, model.basis = node.lower, node.upper, node.basis
-        status, x, obj, node_records = _cutting_plane(model, separate, cfg)
+        status, x, obj, node_records = _cutting_plane(model, separate, cfg, int_idx)
         if status == "infeasible":
             continue
         assert x is not None and obj is not None
         node_cuts = tuple(cut for rec in node_records for cut in rec.cuts)
         fmax = node_records[-1].violation
 
-        frac = np.abs(x[int_idx] - np.round(x[int_idx]))
+        frac = _fractionality(x, int_idx)
         integral = bool(np.all(frac <= INT_TOL))
         if status == "optimal_eps" and integral:
             if obj < incumbent_val:

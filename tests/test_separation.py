@@ -163,13 +163,12 @@ def _rays(p, rows, seed=0):
 
 
 # 1 and 5 rows take several halvings per evaluation, 33 and more one; 20000
-# rows span three blocks.  log's domain-leaving rays are evaluated row by row
-# once a batch raises, which makes 20000 of them take seconds: they stop at 65.
+# rows span three blocks.  A batch with a row outside log's domain is
+# evaluated again in halves.
 KERNEL_CASES = [
     (name, rows)
     for name in sorted(KERNEL_SETS)
     for rows in (1, 5, 33, 64, 65, 20000)
-    if not (name == "log" and rows > 65)
 ]
 
 

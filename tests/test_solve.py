@@ -352,7 +352,8 @@ def test_bnb_bound_records_nondecreasing():
         assert nxt >= prev - 1e-9
 
 
-def test_bnb_matches_lattice_enumeration_on_random_boxes():
+@pytest.mark.parametrize("inner", ["kelley", "esh"])
+def test_bnb_matches_lattice_enumeration_on_random_boxes(inner):
     # shifted ellipses with integer variables; oracle enumerates the lattice
     rng = np.random.default_rng(9)
     for trial in range(6):
@@ -373,7 +374,7 @@ def test_bnb_matches_lattice_enumeration_on_random_boxes():
             }],
         }
         p = load_problem(d)
-        trace = solve_bnb(p)
+        trace = solve_bnb(p, inner=inner)
         best = math.inf
         for x, y in itertools.product(range(-5, 6), repeat=2):
             if (x - cx) ** 2 + (y - cy) ** 2 <= rad2:
@@ -383,6 +384,59 @@ def test_bnb_matches_lattice_enumeration_on_random_boxes():
         else:
             assert trace.status == "optimal_eps", f"trial {trial}"
             assert abs(trace.objective - best) <= 1e-4, f"trial {trial}"
+
+
+def _integer_ball_exp(objective):
+    # bnb-kelley's family: {sum x_i^2 <= 6.5} ∩ {sum exp(0.5 x_i) <= 6} on [-5, 5]^3
+    names = ("x0", "x1", "x2")
+    return load_problem(json.dumps({
+        "variables": [{"name": v, "lb": -5.0, "ub": 5.0, "integer": True} for v in names],
+        "objective": [float(c) for c in objective],
+        "constraints": [
+            {"name": "ball", "expr": " + ".join(f"{v}^2" for v in names) + " - 6.5"},
+            {"name": "exp", "expr": " + ".join(f"exp(0.5*{v})" for v in names) + " - 6"},
+        ],
+        "interior_point": [0.0, 0.0, 0.0],
+    }))
+
+
+def _integer_ball_exp_lattice_optimum(objective) -> float:
+    L = np.array(list(itertools.product(range(-5, 6), repeat=3)), dtype=float)
+    feasible = (np.sum(L**2, axis=1) <= 6.5) & (np.sum(np.exp(0.5 * L), axis=1) <= 6.0)
+    return float(np.min(L[feasible] @ np.asarray(objective, dtype=float)))
+
+
+def test_bnb_fractional_nodes_branch_after_capped_rounds(monkeypatch):
+    # separating every fractional LP point down to eps_feas takes 106 LP
+    # solves here; branching at the second one takes 62
+    import gaugecut.lp as lp_mod
+
+    calls = []
+    solve = lp_mod.lp_solve
+
+    def counted(m):
+        calls.append(1)
+        return solve(m)
+
+    monkeypatch.setattr(lp_mod, "lp_solve", counted)
+    trace = solve_bnb(_integer_ball_exp((-1.0, -1.0, -1.0)), SolverConfig(eps_feas=1e-4))
+    assert trace.status == "optimal_eps"
+    assert abs(trace.objective + 3.0) <= 1e-9
+    assert len(calls) <= 70
+
+
+@pytest.mark.parametrize("inner", ["kelley", "esh"])
+def test_bnb_integer_ball_exp_matches_lattice_enumeration(inner):
+    cfg = SolverConfig(eps_feas=1e-4)
+    rng = np.random.default_rng(7)
+    for trial in range(8):
+        c = rng.uniform(-1.0, 1.0, size=3)
+        p = _integer_ball_exp(c)
+        trace = solve_bnb(p, cfg, inner=inner)
+        assert trace.status == "optimal_eps", f"trial {trial}"
+        assert abs(trace.objective - _integer_ball_exp_lattice_optimum(c)) <= 1e-6, f"trial {trial}"
+        assert np.max(np.abs(trace.x - np.round(trace.x))) <= 1e-6, f"trial {trial}"
+        assert max_violation(p.constraints, trace.x)[0] <= cfg.eps_feas, f"trial {trial}"
 
 
 def test_bnb_node_violation_is_read_from_its_last_record():
