@@ -2,10 +2,12 @@
 
 An expression is an immutable tree over constants, variables (by index),
 ``+ - * / ^`` arithmetic, unary negation, and the functions ``exp``, ``log``,
-``sqrt``.  Exponents of ``^`` must be numeric literals.  Gradients are exact:
-every node propagates a value together with its derivative vector
-(forward-mode dual semantics), so no finite-difference noise enters cut
-coefficients.
+``sqrt``.  Exponents of ``^`` must be numeric literals.  Gradients are exact,
+by reverse-mode differentiation: a forward sweep computes and records the
+value of every node, and a reverse sweep carries the derivative of the root
+with respect to each node from the root down to the variables, applying only
+derivative rules to the recorded values.  No finite-difference noise enters
+cut coefficients, and a gradient's value is the one plain evaluation gives.
 
 Evaluation is vectorised: a single point gives scalars, an ``(N, n)`` array of
 points gives length-``N`` arrays.  Domain violations (log of a non-positive
@@ -358,103 +360,88 @@ def _is_integral(p: float) -> bool:
     return p == round(p) and abs(p) < 2**31
 
 
-def _pow_value(a: np.ndarray, node: Pow) -> np.ndarray:
-    p = node.exponent
-    if _is_integral(p):
-        if p < 0:
-            _domain_check(a != 0.0, "zero raised to a negative power", node)
-        return a ** p
-    _domain_check(a >= 0.0, "negative base with a fractional exponent", node)
-    return a ** p
-
-
-def _value(e: Expr, X: np.ndarray) -> np.ndarray:
+def _value(e: Expr, X: np.ndarray, vals: dict | None = None) -> np.ndarray:
     """Values at the rows of ``X``: an ``(N,)`` array, or a 0-d scalar where
-    ``e`` holds no variable."""
+    ``e`` holds no variable.  The forward sweep: given ``vals``, it also
+    records each node's value there under ``id(node)``."""
     if isinstance(e, Const):
-        return np.float64(e.value)  # broadcasts against the (N,) columns
-    if isinstance(e, Var):
-        return X[:, e.index]
-    if isinstance(e, Neg):
-        return -_value(e.operand, X)
-    if isinstance(e, Add):
-        return _value(e.left, X) + _value(e.right, X)
-    if isinstance(e, Sub):
-        return _value(e.left, X) - _value(e.right, X)
-    if isinstance(e, Mul):
-        return _value(e.left, X) * _value(e.right, X)
-    if isinstance(e, Div):
-        num = _value(e.left, X)
-        den = _value(e.right, X)
+        v = np.float64(e.value)  # broadcasts against the (N,) columns
+    elif isinstance(e, Var):
+        v = X[:, e.index]
+    elif isinstance(e, Neg):
+        v = -_value(e.operand, X, vals)
+    elif isinstance(e, Add):
+        v = _value(e.left, X, vals) + _value(e.right, X, vals)
+    elif isinstance(e, Sub):
+        v = _value(e.left, X, vals) - _value(e.right, X, vals)
+    elif isinstance(e, Mul):
+        v = _value(e.left, X, vals) * _value(e.right, X, vals)
+    elif isinstance(e, Div):
+        num = _value(e.left, X, vals)
+        den = _value(e.right, X, vals)
         _domain_check(den != 0.0, "division by zero", e)
-        return num / den
-    if isinstance(e, Pow):
-        return _pow_value(_value(e.base, X), e)
-    if isinstance(e, Func):
-        a = _value(e.arg, X)
+        v = num / den
+    elif isinstance(e, Pow):
+        a = _value(e.base, X, vals)
+        if not _is_integral(e.exponent):
+            _domain_check(a >= 0.0, "negative base with a fractional exponent", e)
+        elif e.exponent < 0:
+            _domain_check(a != 0.0, "zero raised to a negative power", e)
+        v = a ** e.exponent
+    elif isinstance(e, Func):
+        a = _value(e.arg, X, vals)
         if e.name == "exp":
-            return np.exp(a)
-        if e.name == "log":
+            v = np.exp(a)
+        elif e.name == "log":
             _domain_check(a > 0.0, "log of a non-positive value", e)
-            return np.log(a)
-        _domain_check(a >= 0.0, "sqrt of a negative value", e)
-        return np.sqrt(a)
-    raise TypeError(f"not an expression node: {e!r}")
+            v = np.log(a)
+        else:
+            _domain_check(a >= 0.0, "sqrt of a negative value", e)
+            v = np.sqrt(a)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if vals is not None:
+        vals[id(e)] = v
+    return v
 
 
-def _value_grad(e: Expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    N, n = X.shape
-    if isinstance(e, Const):
-        return np.full(N, e.value), np.zeros((N, n))
+def _grad(e: Expr, vals: dict, bar, G: np.ndarray) -> None:
+    """The reverse sweep: add ``bar * d e/dx`` into the rows of ``G``, reading
+    node values from the ``vals`` of :func:`_value`.  That sweep has checked
+    every value domain; only the derivative's own are checked here."""
     if isinstance(e, Var):
-        g = np.zeros((N, n))
-        g[:, e.index] = 1.0
-        return X[:, e.index].copy(), g
-    if isinstance(e, Neg):
-        v, g = _value_grad(e.operand, X)
-        return -v, -g
-    if isinstance(e, Add):
-        va, ga = _value_grad(e.left, X)
-        vb, gb = _value_grad(e.right, X)
-        return va + vb, ga + gb
-    if isinstance(e, Sub):
-        va, ga = _value_grad(e.left, X)
-        vb, gb = _value_grad(e.right, X)
-        return va - vb, ga - gb
-    if isinstance(e, Mul):
-        va, ga = _value_grad(e.left, X)
-        vb, gb = _value_grad(e.right, X)
-        return va * vb, va[:, None] * gb + vb[:, None] * ga
-    if isinstance(e, Div):
-        va, ga = _value_grad(e.left, X)
-        vb, gb = _value_grad(e.right, X)
-        _domain_check(vb != 0.0, "division by zero", e)
-        return va / vb, (ga * vb[:, None] - va[:, None] * gb) / (vb * vb)[:, None]
-    if isinstance(e, Pow):
-        va, ga = _value_grad(e.base, X)
-        p = e.exponent
-        value = _pow_value(va, e)
+        G[:, e.index] += bar
+    elif isinstance(e, Neg):
+        _grad(e.operand, vals, -bar, G)
+    elif isinstance(e, (Add, Sub)):
+        _grad(e.left, vals, bar, G)
+        _grad(e.right, vals, bar if isinstance(e, Add) else -bar, G)
+    elif isinstance(e, Mul):
+        _grad(e.left, vals, bar * vals[id(e.right)], G)
+        _grad(e.right, vals, bar * vals[id(e.left)], G)
+    elif isinstance(e, Div):
+        bar_num = bar / vals[id(e.right)]
+        _grad(e.left, vals, bar_num, G)
+        _grad(e.right, vals, -bar_num * vals[id(e)], G)
+    elif isinstance(e, Pow):
+        p, a = e.exponent, vals[id(e.base)]
         if p == 0.0:
-            return value, np.zeros((N, n))
-        if _is_integral(p) and p - 1 < 0:
-            _domain_check(va != 0.0, "zero raised to a negative power in a derivative", e)
+            return
         if not _is_integral(p):
             # fractional exponents need a strictly positive base for a finite slope
-            _domain_check(va > 0.0, "fractional power of zero in a derivative", e)
-        dfactor = p * va ** (p - 1.0)
-        return value, dfactor[:, None] * ga
-    if isinstance(e, Func):
-        va, ga = _value_grad(e.arg, X)
+            _domain_check(a > 0.0, "fractional power of zero in a derivative", e)
+        _grad(e.base, vals, bar * (p * a ** (p - 1.0)), G)
+    elif isinstance(e, Func):
+        a = vals[id(e.arg)]
         if e.name == "exp":
-            value = np.exp(va)
-            return value, value[:, None] * ga
-        if e.name == "log":
-            _domain_check(va > 0.0, "log of a non-positive value", e)
-            return np.log(va), ga / va[:, None]
-        _domain_check(va > 0.0, "sqrt of a non-positive value in a derivative", e)
-        value = np.sqrt(va)
-        return value, (0.5 / value)[:, None] * ga
-    raise TypeError(f"not an expression node: {e!r}")
+            _grad(e.arg, vals, bar * vals[id(e)], G)
+        elif e.name == "log":
+            _grad(e.arg, vals, bar / a, G)
+        else:
+            _domain_check(a > 0.0, "sqrt of a non-positive value in a derivative", e)
+            _grad(e.arg, vals, bar * (0.5 / vals[id(e)]), G)
+    elif not isinstance(e, Const):
+        raise TypeError(f"not an expression node: {e!r}")
 
 
 def _as_points(x) -> np.ndarray:
@@ -482,15 +469,21 @@ def eval_value(e: Expr, x) -> float | np.ndarray:
 
 
 def eval_grad(e: Expr, x) -> EvalResult:
-    """Value and exact gradient at a single point.
+    """Value and exact gradient at a single point: the forward sweep
+    :func:`_value` records every node's value, the reverse sweep :func:`_grad`
+    carries ``d e/d node`` from the root down to the variables.  The value is
+    the one :func:`eval_value` gives.
 
     Deterministic: identical inputs give bit-identical outputs.
     """
     x_arr = np.asarray(x, dtype=float)
     if x_arr.ndim != 1:
         raise ValueError(f"expected a single point, got shape {x_arr.shape}")
+    vals: dict = {}
+    g = np.zeros((1, x_arr.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        v, g = _value_grad(e, x_arr[None, :])
-    if not (np.isfinite(v[0]) and np.all(np.isfinite(g[0]))):
+        v = float(np.ravel(_value(e, x_arr[None, :], vals))[0])
+        _grad(e, vals, 1.0, g)
+    if not (np.isfinite(v) and np.all(np.isfinite(g[0]))):
         raise EvalDomainError("evaluation overflowed to a non-finite value", render(e))
-    return EvalResult(value=float(v[0]), gradient=g[0])
+    return EvalResult(value=v, gradient=g[0])

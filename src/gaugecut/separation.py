@@ -279,10 +279,7 @@ def gauge_separator(constraints, x0, cfg: SolverConfig | None = None):
     cons = as_constraints(constraints)
 
     def separate(x, eps):
-        try:
-            fmax = float(np.max(constraint_values(cons, x)))
-        except EvalDomainError:
-            fmax = math.inf
+        fmax = float(_fmax_rows(cons, x[None, :])[0])
         if fmax <= eps:
             return fmax, []
         return fmax, esh_cut(cons, line_search_boundary(cons, x0, x, cfg))
@@ -296,8 +293,11 @@ def gauge_separator(constraints, x0, cfg: SolverConfig | None = None):
 
 
 def _strict_interior(cons: Sequence[Constraint], x0) -> np.ndarray:
+    """``x0`` as an array, once ``max_j g_j(x0) < 0``; as in
+    :func:`line_search_boundary`, a point outside some ``g_j``'s domain is
+    not strictly interior."""
     x0 = np.asarray(x0, dtype=float)
-    f0, _ = max_violation(cons, x0)
+    f0 = _fmax_rows(cons, x0[None, :])[0]
     if f0 >= 0.0:
         raise PreconditionError(
             f"interior point is not strictly interior (max_j g_j = {f0:.6g})"
@@ -457,10 +457,8 @@ def check_supporting(
     constraints,
     cut: Cut,
     interior_point=None,
-    samples: int = 32,
     ascent_iters: int = 60,
     tol: float = _SUPPORT_TOL,
-    seed: int = 0,
     probe_segment=None,
 ) -> SupportVerdict:
     """Decide whether the cut holds with equality at some feasible point,
@@ -489,8 +487,7 @@ def check_supporting(
 
     ``ascent_iters`` bounds the ESH iterations per box (0 skips the search),
     and at most ``_PROBE_DOUBLINGS`` doublings are made.  A ``False`` verdict
-    at either limit is not proven.  ``samples`` and ``seed`` are ignored:
-    the search draws no random rays.
+    at either limit is not proven.
 
     The search needs an interior point.  For a :class:`Problem` it comes from
     :func:`resolve_interior_point` (``interior_point``, then the problem's,

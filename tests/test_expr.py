@@ -111,6 +111,33 @@ def test_domain_errors_name_the_subexpression():
         eval_grad(parse("x ^ -1", XY), [0.0, 0.0])
 
 
+def test_derivative_only_domain_errors():
+    # the value exists at x = 0, the slope does not
+    for source in ("sqrt(x)", "x ^ 0.5"):
+        e = parse(source, XY)
+        assert eval_value(e, [0.0, 1.0]) == 0.0
+        with pytest.raises(EvalDomainError, match="in a derivative"):
+            eval_grad(e, [0.0, 1.0])
+
+
+def test_value_domain_errors_come_before_derivative_ones():
+    # sqrt(x) has no slope at x = 0, but log(0) has no value
+    with pytest.raises(EvalDomainError, match="log of a non-positive value"):
+        eval_grad(parse("sqrt(x) + log(x)", XY), [0.0, 1.0])
+    with pytest.raises(EvalDomainError, match="sqrt of a negative value"):
+        eval_grad(parse("sqrt(x)", XY), [-1.0, 0.0])
+
+
+def test_shared_subtree_gradient():
+    # one subtree object used twice, as a rewrite that reuses a node builds it
+    g = parse("x * y + exp(x)", XY)
+    x = np.array([0.7, -1.3])
+    v, dg = eval_value(g, x), eval_grad(g, x).gradient
+    r = eval_grad(Add(g, Pow(g, 3.0)), x)
+    assert r.value == eval_value(Add(g, Pow(g, 3.0)), x)
+    assert np.allclose(r.gradient, (1.0 + 3.0 * v**2) * dg, rtol=1e-14, atol=0.0)
+
+
 def test_batched_matches_pointwise():
     e = parse("exp(x * y) / (1 + x^2) + sqrt(y + 2)", XY)
     rng = np.random.default_rng(0)
@@ -196,6 +223,21 @@ def test_render_parse_roundtrip_random_trees():
     for _ in range(300):
         tree = _random_tree(rng, XY, depth=4)
         assert parse(render(tree), XY) == tree
+
+
+def test_gradient_value_is_the_plain_value_random_trees():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(1000):
+        tree = _random_tree(rng, XY, depth=4)
+        x = rng.uniform(-3.0, 3.0, size=2)
+        try:
+            value = eval_grad(tree, x).value
+        except EvalDomainError:
+            continue
+        assert value.hex() == eval_value(tree, x).hex(), render(tree)
+        checked += 1
+    assert checked >= 700
 
 
 def test_render_parse_roundtrip_fixture_sources():

@@ -115,6 +115,24 @@ def test_line_search_preconditions():
         line_search_boundary(cons, ORIGIN, [0.5, 0.5])
 
 
+_E_ROOT = math.exp(0.5)  # (e^(1/2), e^(1/2)) lies on the boundary xy = e of the log set
+_OFF_DOMAIN_CALLS = {
+    "line_search_boundary": lambda cons, x0: line_search_boundary(cons, x0, [1.0, 1.0]),
+    "gauge_values": lambda cons, x0: gauge_values(cons, x0, [[3.0, 3.0]]),
+    "gauge_subgradient_check": lambda cons, x0: gauge_subgradient_check(
+        cons, x0, Cut(np.ones(2), 2.0 * _E_ROOT, point=np.full(2, _E_ROOT)), [[3.0, 3.0]]),
+    "check_supporting": lambda cons, x0: check_supporting(
+        cons, Cut(np.ones(2), 1.0), interior_point=x0),
+}
+
+
+@pytest.mark.parametrize("call", _OFF_DOMAIN_CALLS.values(), ids=_OFF_DOMAIN_CALLS.keys())
+def test_interior_point_outside_the_domain_is_not_strictly_interior(call):
+    # log(0) is undefined: every entry point reads max_j g_j(x0) = inf
+    with pytest.raises(PreconditionError, match=r"not strictly interior \(max_j g_j = inf\)"):
+        call(make_log().constraints, ORIGIN)
+
+
 def test_line_search_respects_tolerance_config():
     cons = make_circle().constraints
     cfg = SolverConfig(line_search_tol=1e-12)
@@ -419,11 +437,10 @@ def test_check_supporting_halfspace():
 
 
 def test_check_supporting_explicit_probe_segment():
-    # with no sampling at all, the caller-supplied segment finds the witness
+    # with the search switched off, the caller-supplied segment finds the witness
     p = make_circle()
     cut = Cut(np.array([1.0, 1.0]), SQRT2, origin="user")
-    verdict = check_supporting(p, cut, interior_point=ORIGIN, samples=0,
-                               ascent_iters=0,
+    verdict = check_supporting(p, cut, interior_point=ORIGIN, ascent_iters=0,
                                probe_segment=(ORIGIN, np.array([2.0, 2.0])))
     assert verdict.supporting
     assert np.max(np.abs(verdict.witness - 1.0 / SQRT2)) <= 1e-7
