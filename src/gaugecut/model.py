@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import InteriorPointError, ParseError, ProblemFormatError
+from .errors import EvalDomainError, InteriorPointError, ParseError, ProblemFormatError
 
 __all__ = [
     "Constraint",
@@ -436,7 +436,12 @@ def resolve_interior_point(p: Problem, point=None) -> np.ndarray:
             raise InteriorPointError(
                 f"interior point from {source} lies outside the variable bounds"
             )
-        f, _ = max_violation(p.constraints, cand)
+        try:
+            f, _ = max_violation(p.constraints, cand)
+        except EvalDomainError as err:
+            raise InteriorPointError(
+                f"interior point from {source} lies outside a constraint's domain ({err})"
+            ) from err
         if f >= 0.0:
             raise InteriorPointError(
                 f"interior point from {source} is not strictly interior "

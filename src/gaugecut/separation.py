@@ -20,10 +20,11 @@ it up to scaling.  :func:`check_supporting` runs the same loop on ``max
 alpha^T x``.  :func:`gauge_values` evaluates the gauge at any points, for
 :func:`gauge_subgradient_check` to certify a normalized supporting cut as a
 gauge subgradient inequality.  It and the line search share one ray-crossing
-kernel: bisection, with the midpoints of several halvings evaluated in one
-batch and the halvings replayed on the stored values, so that each crossing
-is bit for bit the one that one halving per evaluation returns.  A point
-outside some ``g_j``'s domain lies outside ``C``.
+kernel: bisection, one halving of every ray per evaluation while many rays
+are open, and for a few rays the midpoints of several halvings evaluated in
+one batch, so that each crossing is bit for bit the one that one halving per
+evaluation returns.  A point outside some ``g_j``'s domain lies outside
+``C``.
 
 :func:`affine_on_segment` and :func:`classify_quadratic` decide when plain
 linearization cuts happen to be supporting: exactly when the constraint is
@@ -168,12 +169,12 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
     on purpose: it needs only the sign change guaranteed by the
     preconditions, so it also handles non-convex constraint functions whose
     restriction to the segment is not monotone.  One evaluation of 63
-    points covers six halvings, and the result is the one a halving at a
-    time gives.  The preconditions are checked in one evaluation of two
-    points: ``x0`` and the search's first bracket end ``x0 + 1.0 * (xbar -
-    x0)``, which is ``xbar`` up to rounding.  A point outside the
-    constraints' domain counts as infeasible, so such an ``x0`` is not
-    strictly interior.
+    points covers six halvings, which are then taken on Python floats, and
+    the result is the one a halving at a time gives.  The preconditions are
+    checked in one evaluation of two points: ``x0`` and the search's first
+    bracket end ``x0 + 1.0 * (xbar - x0)``, which is ``xbar`` up to
+    rounding.  A point outside the constraints' domain counts as
+    infeasible, so such an ``x0`` is not strictly interior.
     """
     cons = as_constraints(constraints)
     if cfg is None:
@@ -337,9 +338,10 @@ def _boundary_crossings(
     open after ``_BISECTIONS`` halvings, get ``ok = False`` and a meaningless
     ``t*``.
 
-    The doubling steps evaluate one point per open row.  The bisection is
-    batched (see :func:`_bisect`) but returns exactly what halving one
-    midpoint per evaluation would."""
+    The doubling steps evaluate one point per open row.  The bisection (see
+    :func:`_bisect`) halves every open row once per evaluation while 22 or
+    more rows are open and several times per evaluation below that, and
+    returns exactly what halving one midpoint per evaluation would."""
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = np.ones(k)
@@ -367,54 +369,73 @@ def _bisect(cons, x0, D, rows, t_lo, t_hi, tol, settle) -> np.ndarray:
     halvings.
 
     A round with ``R`` open rows takes ``d`` halvings at once, the most with
-    ``R (2^d - 1) <= _ROUND_POINTS`` (at least one).  It evaluates every
-    midpoint those halvings could visit in one call, each computed as the
-    same ``0.5 * (lo + hi)`` of the same bracket ends a single halving would
-    use, and then replays the halvings on the stored values: a midpoint
-    where ``max_j g_j > 0`` becomes ``hi``, any other becomes ``lo``.  The
-    stop test runs after every halving, so a row closes with the ``t_lo`` of
-    the first halving where it holds, as one halving per evaluation would
-    close it, also where the ray leaves and re-enters the set."""
-    lo, hi, Dr = t_lo[rows], t_hi[rows], D[rows]
+    ``R (2^d - 1) <= _ROUND_POINTS`` (at least one).  A wide round, ``d =
+    1``, is one plain halving of every row on arrays.  A narrow round, at
+    most 21 rows, evaluates in one call every midpoint its ``d`` halvings
+    could visit, each computed as the same ``0.5 * (lo + hi)`` of the same
+    bracket ends a single halving would use, and then replays the halvings
+    row by row on Python floats, which round as numpy's float64 does: a
+    midpoint where ``max_j g_j > 0`` becomes ``hi``, any other becomes
+    ``lo``.  The stop test runs after every halving, so a row closes with
+    the ``t_lo`` of the first halving where it holds, as one halving per
+    evaluation would close it, also where the ray leaves and re-enters the
+    set."""
+    # Dt[:, r] is row r's direction, and a round's points are the transpose
+    # of an (n, N) array: numpy builds and evaluates its contiguous
+    # coordinates much faster than the strided columns of an (N, n) one, and
+    # its elementwise functions give the same values in either layout
+    lo, hi, Dt = t_lo[rows], t_hi[rows], D[rows].T.copy()
     f_lo = np.full(rows.size, -math.inf)  # unknown until a halving lands inside
     done = 0
     while rows.size and done < _BISECTIONS:
         R = rows.size
         d = min(max(1, (_ROUND_POINTS // R + 1).bit_length() - 1), _BISECTIONS - done)
-        s = 1 << d
-        # E[i]: the brackets cut into s dyadic pieces, one level of halvings
-        # at a time; a bracket [E[i], E[i + w]] has its midpoint at i + w/2
-        E = np.empty((s + 1, R))
-        E[0], E[s] = lo, hi
-        for w in (s >> j for j in range(d)):
-            E[w // 2::w] = 0.5 * (E[:-w:w] + E[w::w])
-        F = _fmax_rows(cons, (x0 + E[1:s, :, None] * Dr).reshape(-1, x0.size))
-        # replay on flat indices g * R + row into E: halving [E[g], E[g + 2h]]
-        # moves lo up to its midpoint g + h unless max_j g_j > 0 there
-        g = np.arange(1, s)
-        up = np.where(F.reshape(s - 1, R) > 0.0, 0, (g & -g)[:, None] * R).ravel()
-        half = s >> np.arange(1, d + 1)  # h of each halving: the bracket's new width
-        path = np.empty((d, R), dtype=np.intp)  # lo after each halving
-        pos = np.arange(R)
-        for j, h in enumerate(half.tolist()):
-            pos = pos + up[pos + (h - 1) * R]
-            path[j] = pos
-        Ef = E.ravel()
-        LO = Ef[path]
-        HI = Ef[path + half[:, None] * R]
-        still_open = HI - LO > tol * HI
-        if settle:
-            FL = np.concatenate((f_lo, F)).take(path)
-            still_open |= FL < -BOUNDARY_TOL
-            f_lo = FL[-1]
-        lo, hi = LO[-1], HI[-1]
         done += d
-        keep = still_open.all(axis=0)
+        if d == 1:
+            mid = 0.5 * (lo + hi)
+            P = mid * Dt
+            P += x0[:, None]
+            fm = _fmax_rows(cons, P.T)
+            above = fm > 0.0
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+            keep = hi - lo > tol * hi
+            if settle:
+                f_lo = np.where(above, f_lo, fm)
+                keep |= f_lo < -BOUNDARY_TOL
+        else:
+            s = 1 << d
+            halves = [s >> j for j in range(1, d + 1)]  # each halving's new width
+            # E[r]: row r's bracket cut into s dyadic pieces, one level of
+            # halvings at a time; a piece [e[i], e[i + 2h]] has its midpoint at i + h
+            E = []
+            for a, b in zip(lo.tolist(), hi.tolist()):
+                e = [a] * s + [b]
+                for h in halves:
+                    e[h::2 * h] = [0.5 * (p + q) for p, q in zip(e[:s:2 * h], e[2 * h::2 * h])]
+                E.append(e)
+            P = np.array(E)[:, 1:s] * Dt[:, :, None]
+            P += x0[:, None, None]
+            F = _fmax_rows(cons, P.reshape(x0.size, -1).T).tolist()
+            keep = np.ones(R, dtype=bool)
+            state = []
+            for r, (e, fl) in enumerate(zip(E, f_lo.tolist())):
+                k = r * (s - 1) - 1  # F[k + i]: max_j g_j at e[i]
+                g = 0  # lo is e[g]
+                for h in halves:
+                    if not F[k + g + h] > 0.0:
+                        g += h
+                        fl = F[k + g]
+                    a, b = e[g], e[g + h]
+                    if not (b - a > tol * b or settle and fl < -BOUNDARY_TOL):
+                        keep[r] = False
+                        break
+                state.append((a, b, fl))  # a closed row keeps the lo it closed with
+            lo, hi, f_lo = np.array(state).T
         if not keep.all():
-            shut = np.nonzero(~keep)[0]
-            first = np.argmin(still_open[:, shut], axis=0)  # the halving that closed it
-            t_lo[rows[shut]] = LO[first, shut]
-            rows, lo, hi, f_lo, Dr = rows[keep], lo[keep], hi[keep], f_lo[keep], Dr[keep]
+            t_lo[rows[~keep]] = lo[~keep]
+            rows, lo, hi, f_lo = rows[keep], lo[keep], hi[keep], f_lo[keep]
+            Dt = Dt.compress(keep, axis=1)
     return rows
 
 

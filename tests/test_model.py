@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from gaugecut import (
+    Cut,
     InteriorPointError,
     ProblemFormatError,
+    check_supporting,
     epsilon_relax,
     eval_value,
     find_interior_point,
     load_problem,
     resolve_interior_point,
     save_problem,
+    solve_esh,
 )
 from gaugecut.model import SolverConfig, constraint_values, max_violation
 
@@ -178,6 +181,22 @@ def test_resolve_interior_point_precedence_and_validation():
         resolve_interior_point(p, [11.0, 5.0])
     with pytest.raises(InteriorPointError, match="config/argument is not strictly interior"):
         resolve_interior_point(p, [1.0, 1.0])
+
+
+_OFF_DOMAIN_POINT_CALLS = {
+    "resolve_interior_point": lambda p: resolve_interior_point(p, [0.0, 0.0]),
+    "solve_esh": lambda p: solve_esh(p, SolverConfig(interior_point=(0.0, 0.0))),
+    "check_supporting": lambda p: check_supporting(
+        p, Cut(np.ones(2), 1.0), interior_point=[0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("call", _OFF_DOMAIN_POINT_CALLS.values(),
+                         ids=_OFF_DOMAIN_POINT_CALLS.keys())
+def test_supplied_interior_point_outside_the_domain_names_its_source(call):
+    # (0, 0) is inside the bounds of the log set but log(0) is undefined
+    with pytest.raises(InteriorPointError, match="config/argument lies outside a constraint's domain"):
+        call(make_log())
 
 
 def test_find_interior_point_validates_start():

@@ -180,13 +180,13 @@ def _rays(p, rows, seed=0):
     return rng.standard_normal((rows, p.n)) * rng.uniform(0.05, 8.0, size=(rows, 1))
 
 
-# 1 and 5 rows take several halvings per evaluation, 33 and more one; 20000
-# rows span three blocks.  A batch with a row outside log's domain is
-# evaluated again in halves.
+# Up to 21 rows take several halvings per evaluation (2 rows five, 21 rows
+# two), 22 and more one; 20000 rows span three blocks.  A batch with a row
+# outside log's domain is evaluated again in halves.
 KERNEL_CASES = [
     (name, rows)
     for name in sorted(KERNEL_SETS)
-    for rows in (1, 5, 33, 64, 65, 20000)
+    for rows in (1, 2, 5, 21, 22, 33, 64, 65, 20000)
 ]
 
 
