@@ -1,0 +1,120 @@
+"""Result signatures of the benchmark workloads, for bit-identity checks.
+
+    python scripts/bench_signatures.py --out SIG.json [--seeds 1-3] [--seconds 30]
+    python scripts/bench_signatures.py --compare A.json B.json
+
+The first form runs every item of each workload in ``perfbench/workloads.py``
+(imported, never changed) for each seed, untimed, and writes the SHA-1 of
+each item's ``Outcome.signature``.  For ``verify`` it also writes the SHA-1
+of the ``phi`` and ``ok`` arrays of every ``gauge_values`` grid.  ``--root``
+points at another source checkout, so that two commits can be compared
+from one place.  The second form prints the items whose hashes differ and
+exits with 1 when any do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOAD_NAMES = ("esh-solve", "bnb-kelley", "verify")
+
+
+def _sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
+
+
+def _seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def _signatures(root: Path, workloads, seeds, seconds: float) -> dict:
+    os.environ.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    warnings.simplefilter("ignore")  # recession rays are skipped by design, as in run.py
+
+    import gaugecut
+    import numpy as np
+    from workloads import WORKLOADS
+
+    grids: list[str] = []
+    gauge_values = gaugecut.gauge_values
+
+    def recorded(*args, **kwargs):
+        phi, ok = gauge_values(*args, **kwargs)
+        grids.append(_sha1(phi.tobytes() + ok.tobytes()))
+        return phi, ok
+
+    gaugecut.gauge_values = recorded  # the workloads look it up on gaugecut
+    out: dict = {}
+    for name in workloads:
+        for seed in seeds:
+            wl = WORKLOADS[name](seed, seconds)
+            wl.prepare()
+            grids.clear()
+            items = [_sha1(repr(wl.run(item).signature).encode()) for item in wl.items]
+            out.setdefault(name, {})[str(seed)] = {"items": items, "grids": list(grids)}
+    env = {"python": platform.python_version(), "numpy": np.__version__}
+    return {"environment": env, "commit": _commit(root), "seconds": seconds, "signatures": out}
+
+
+def _commit(root: Path) -> str | None:
+    try:
+        return subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    """One line per workload, seed and kind whose hashes differ."""
+    lines = []
+    sa, sb = a["signatures"], b["signatures"]
+    for name in sorted(set(sa) | set(sb)):
+        for seed in sorted(set(sa.get(name, {})) | set(sb.get(name, {})), key=int):
+            ra, rb = sa.get(name, {}).get(seed), sb.get(name, {}).get(seed)
+            if ra is None or rb is None:
+                lines.append(f"{name} seed {seed}: only in {'B' if ra is None else 'A'}")
+                continue
+            for kind in ("items", "grids"):
+                xa, xb = ra[kind], rb[kind]
+                differ = [i for i, (p, q) in enumerate(zip(xa, xb)) if p != q]
+                if len(xa) != len(xb):
+                    lines.append(f"{name} seed {seed}: {len(xa)} {kind} against {len(xb)}")
+                if differ:
+                    lines.append(f"{name} seed {seed}: {kind} {differ} differ")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--seeds", default="1-3", help="a seed or a range such as 1-3")
+    ap.add_argument("--seconds", type=float, default=30.0, help="sets the items, as in run.py")
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOAD_NAMES, default=WORKLOAD_NAMES)
+    ap.add_argument("--root", type=Path, default=ROOT, help="source checkout to run")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    args = ap.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(p.read_text()) for p in args.compare)
+        lines = compare(a, b)
+        print("\n".join(lines) if lines else "all signatures equal")
+        return 1 if lines else 0
+    if args.out is None:
+        ap.error("--out is required unless --compare is given")
+    result = _signatures(args.root.resolve(), args.workloads, _seeds(args.seeds), args.seconds)
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

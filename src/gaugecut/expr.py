@@ -2,12 +2,26 @@
 
 An expression is an immutable tree over constants, variables (by index),
 ``+ - * / ^`` arithmetic, unary negation, and the functions ``exp``, ``log``,
-``sqrt``.  Exponents of ``^`` must be numeric literals.  Gradients are exact,
-by reverse-mode differentiation: a forward sweep computes and records the
-value of every node, and a reverse sweep carries the derivative of the root
-with respect to each node from the root down to the variables, applying only
-derivative rules to the recorded values.  No finite-difference noise enters
-cut coefficients, and a gradient's value is the one plain evaluation gives.
+``sqrt``.  Exponents of ``^`` must be numeric literals.
+
+Evaluation runs on a tape, a flat post-order list of instructions, one per
+node of the tree.  An explicit stack builds it on the first evaluation of an
+expression, and it is cached on the root node; each ``^`` is classified by
+its exponent then, once.  The forward sweep runs the tape on a value stack:
+an operand is dropped as soon as its parent has used it, so a batch holds
+only a few arrays at a time, however large the tree.  Nothing recurses, so
+parsing (within ``MAX_NESTING``), rendering and evaluation handle sums of
+any length.
+
+Gradients are exact, by reverse-mode differentiation: the forward sweep also
+records the value of every node, and a reverse sweep carries the derivative
+of the root with respect to each node from the root down to the variables,
+applying only derivative rules to the recorded values.  It visits the nodes
+in pre-order (node, left, right), as a recursive descent would, so the
+contributions to each partial derivative add up in a fixed order and the
+first derivative domain error is the leftmost.  No finite-difference noise
+enters cut coefficients, and a gradient's value is the one plain evaluation
+gives.
 
 Evaluation is vectorised: a single point gives scalars, an ``(N, n)`` array of
 points gives length-``N`` arrays.  Domain violations (log of a non-positive
@@ -51,11 +65,17 @@ FUNCTION_NAMES = ("exp", "log", "sqrt")
 # would blow beta up past float range.
 ZERO_GRADIENT_TOL = 1e-12
 
+# Parentheses, function calls, unary minus and exponents nest at most this
+# deep in a parsed source; the parser descends one level of Python calls per
+# nesting.
+MAX_NESTING = 100
+
 
 class Expr:
     """Base class of all expression nodes.  Immutable; safe to share."""
 
     __slots__ = ()
+    _tape = None  # the evaluation tape, cached on the first evaluation
 
     def __str__(self) -> str:
         return render(self)
@@ -160,12 +180,19 @@ def _tokenize(source: str) -> list[_Token]:
 class _Parser:
     """Recursive descent with the precedence ladder
     ``^``  >  unary minus  >  ``* /``  >  ``+ -`` (``^`` right-associative,
-    its exponent restricted to numeric literals)."""
+    its exponent restricted to numeric literals).  Sums and products are
+    loops; only nesting recurses, up to ``MAX_NESTING`` levels."""
 
     def __init__(self, source: str, var_indices: dict[str, int]):
         self.tokens = _tokenize(source)
         self.i = 0
         self.var_indices = var_indices
+        self.depth = 0
+
+    def nest(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -208,7 +235,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
+            self.nest(tok)
             operand = self.parse_unary()
+            self.depth -= 1
             if isinstance(operand, Const):
                 return Const(-operand.value)
             return Neg(operand)
@@ -220,7 +249,9 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             exp_tok = self.peek()
+            self.nest(tok)
             exponent = self.parse_unary()
+            self.depth -= 1
             if not isinstance(exponent, Const):
                 raise ParseError(
                     "exponent must be a numeric literal (variable exponents are unsupported)",
@@ -243,14 +274,17 @@ class _Parser:
                 raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
             return Var(index, tok.text)
         if tok.kind == "op" and tok.text == "(":
+            self.nest(tok)
             e = self.parse_sum()
             self.expect_op(")")
+            self.depth -= 1
             return e
         raise ParseError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)
 
     def parse_call(self, name_tok: _Token) -> Expr:
         if name_tok.text not in FUNCTION_NAMES:
             raise ParseError(f"unknown function {name_tok.text!r}", name_tok.pos)
+        self.nest(name_tok)
         self.expect_op("(")
         arg = self.parse_sum()
         if self.peek().kind == "op" and self.peek().text == ",":
@@ -258,6 +292,7 @@ class _Parser:
                 f"function {name_tok.text!r} takes exactly one argument", self.peek().pos
             )
         self.expect_op(")")
+        self.depth -= 1
         return Func(name_tok.text, arg)
 
 
@@ -265,7 +300,8 @@ def parse(source: str, variables: Sequence[str]) -> Expr:
     """Parse ``source`` over the declared variable names.
 
     Raises :class:`ParseError` with a position on syntax errors, unknown
-    identifiers, wrong arity, and non-literal exponents.
+    identifiers, wrong arity, non-literal exponents, and nesting deeper than
+    ``MAX_NESTING``.
     """
     var_indices = {name: i for i, name in enumerate(variables)}
     return _Parser(source, var_indices).parse()
@@ -283,207 +319,261 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _render(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        return _fmt(e.value), (_LVL_ATOM if e.value >= 0 else _LVL_UNARY)
-    if isinstance(e, Var):
-        return e.name, _LVL_ATOM
-    if isinstance(e, Func):
-        text, _ = _render(e.arg)
-        return f"{e.name}({text})", _LVL_ATOM
-    if isinstance(e, Neg):
-        text, lvl = _render(e.operand)
-        if lvl < _LVL_UNARY:
-            text = f"({text})"
-        return f"-{text}", _LVL_UNARY
-    if isinstance(e, Pow):
-        base, lvl = _render(e.base)
-        if lvl < _LVL_ATOM:
-            base = f"({base})"
-        return f"{base} ^ {_fmt(e.exponent)}", _LVL_POW
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        left, _ = _render(e.left)
-        right, rlvl = _render(e.right)
-        if rlvl <= _LVL_ADD:
-            right = f"({right})"
-        return f"{left} {op} {right}", _LVL_ADD
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        left, llvl = _render(e.left)
-        right, rlvl = _render(e.right)
-        if llvl < _LVL_MUL:
-            left = f"({left})"
-        if rlvl <= _LVL_MUL:
-            right = f"({right})"
-        return f"{left} {op} {right}", _LVL_MUL
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def render(e: Expr) -> str:
     """Format ``e`` so that re-parsing yields a structurally identical tree."""
-    return _render(e)[0]
+    done: list[tuple[str, int]] = []  # (text, precedence level) of rendered subtrees
+    for node in _postorder(e):
+        if isinstance(node, Const):
+            done.append((_fmt(node.value), _LVL_ATOM if node.value >= 0 else _LVL_UNARY))
+        elif isinstance(node, Var):
+            done.append((node.name, _LVL_ATOM))
+        elif isinstance(node, Func):
+            done.append((f"{node.name}({done.pop()[0]})", _LVL_ATOM))
+        elif isinstance(node, Neg):
+            text, lvl = done.pop()
+            done.append((f"-({text})" if lvl < _LVL_UNARY else f"-{text}", _LVL_UNARY))
+        elif isinstance(node, Pow):
+            base, lvl = done.pop()
+            if lvl < _LVL_ATOM:
+                base = f"({base})"
+            done.append((f"{base} ^ {_fmt(node.exponent)}", _LVL_POW))
+        else:
+            (right, rlvl), (left, llvl) = done.pop(), done.pop()
+            if isinstance(node, (Add, Sub)):
+                op, lvl = ("+" if isinstance(node, Add) else "-"), _LVL_ADD
+            else:
+                op, lvl = ("*" if isinstance(node, Mul) else "/"), _LVL_MUL
+                if llvl < _LVL_MUL:
+                    left = f"({left})"
+            if rlvl <= lvl:
+                right = f"({right})"
+            done.append((f"{left} {op} {right}", lvl))
+    return done[0][0]
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# Tape opcodes.  The three powers split by exponent when the tape is built:
+# _POW for integral exponents >= 0, _POW_NEG for integral negative ones (the
+# base must not be 0), _POW_FRAC for the rest (the base must not be negative).
+(_VAR, _CONST, _ADD, _SUB, _MUL, _DIV, _NEG, _POW, _POW_NEG, _POW_FRAC, _EXP, _LOG,
+ _SQRT) = range(13)
+_FUNC_OPS = {"exp": _EXP, "log": _LOG, "sqrt": _SQRT}
+_BINARY_OPS = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 
-def _nodes(e: Expr) -> Iterator[Expr]:
-    stack = [e]
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, Neg):
+        return (e.operand,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Func):
+        return (e.arg,)
+    if isinstance(e, (Const, Var)):
+        return ()
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _postorder(e: Expr) -> Iterator[Expr]:
+    """The nodes of ``e`` children first, left to right, by an explicit
+    stack: a shared subtree is visited once per place it occurs."""
+    stack: list = [(e, False)]
     while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Func):
-            stack.append(node.arg)
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(_children(node)))
 
 
 def max_var_index(e: Expr) -> int:
     """Largest variable index referenced, or -1 for constant expressions."""
-    return max((n.index for n in _nodes(e) if isinstance(n, Var)), default=-1)
+    return max((n.index for n in _postorder(e) if isinstance(n, Var)), default=-1)
 
 
-def _domain_check(ok: np.ndarray, message: str, node: Expr) -> None:
-    if not np.all(ok):
+def _tape(e: Expr) -> list[tuple]:
+    """The tape of ``e``, built on first use and cached on the node: one
+    instruction ``(op, arg, node, kids)`` per node of the tree, in
+    post-order.  ``arg`` is the variable index, the constant or the
+    exponent; ``node`` is the node the instruction computes, named in domain
+    errors; ``kids`` are the positions of its operands' instructions."""
+    if e._tape is not None:
+        return e._tape
+    code: list[tuple] = []
+    done: list[int] = []  # positions of the subtrees emitted and not yet consumed
+    for node in _postorder(e):
+        arity = len(_children(node))
+        kids = tuple(done[len(done) - arity:])
+        del done[len(done) - arity:]
+        if isinstance(node, Var):
+            op, arg = _VAR, node.index
+        elif isinstance(node, Const):
+            op, arg = _CONST, np.float64(node.value)  # broadcasts against (N,) columns
+        elif isinstance(node, Neg):
+            op, arg = _NEG, None
+        elif isinstance(node, Pow):
+            p = node.exponent
+            if not (float(p).is_integer() and abs(p) < 2**31):
+                op = _POW_FRAC
+            else:
+                op = _POW_NEG if p < 0 else _POW
+            arg = p
+        elif isinstance(node, Func):
+            op, arg = _FUNC_OPS[node.name], None
+        else:
+            op, arg = _BINARY_OPS[type(node)], None
+        done.append(len(code))
+        code.append((op, arg, node, kids))
+    object.__setattr__(e, "_tape", code)  # the nodes are frozen; the tape is no field
+    return code
+
+
+def _domain_check(ok, message: str, node: Expr) -> None:
+    if not ok.all():
         raise EvalDomainError(message, render(node))
 
 
-def _is_integral(p: float) -> bool:
-    return p == round(p) and abs(p) < 2**31
-
-
-def _value(e: Expr, X: np.ndarray, vals: dict | None = None) -> np.ndarray:
-    """Values at the rows of ``X``: an ``(N,)`` array, or a 0-d scalar where
-    ``e`` holds no variable.  The forward sweep: given ``vals``, it also
-    records each node's value there under ``id(node)``."""
-    if isinstance(e, Const):
-        v = np.float64(e.value)  # broadcasts against the (N,) columns
-    elif isinstance(e, Var):
-        v = X[:, e.index]
-    elif isinstance(e, Neg):
-        v = -_value(e.operand, X, vals)
-    elif isinstance(e, Add):
-        v = _value(e.left, X, vals) + _value(e.right, X, vals)
-    elif isinstance(e, Sub):
-        v = _value(e.left, X, vals) - _value(e.right, X, vals)
-    elif isinstance(e, Mul):
-        v = _value(e.left, X, vals) * _value(e.right, X, vals)
-    elif isinstance(e, Div):
-        num = _value(e.left, X, vals)
-        den = _value(e.right, X, vals)
-        _domain_check(den != 0.0, "division by zero", e)
-        v = num / den
-    elif isinstance(e, Pow):
-        a = _value(e.base, X, vals)
-        if not _is_integral(e.exponent):
-            _domain_check(a >= 0.0, "negative base with a fractional exponent", e)
-        elif e.exponent < 0:
-            _domain_check(a != 0.0, "zero raised to a negative power", e)
-        v = a ** e.exponent
-    elif isinstance(e, Func):
-        a = _value(e.arg, X, vals)
-        if e.name == "exp":
-            v = np.exp(a)
-        elif e.name == "log":
-            _domain_check(a > 0.0, "log of a non-positive value", e)
+def _forward(code: list, X: np.ndarray, slots: list | None = None) -> np.ndarray:
+    """The forward sweep: the value at the rows of ``X``, an ``(N,)`` array
+    or a 0-d scalar where ``e`` holds no variable.  Operands live on a stack
+    and are dropped as soon as their parent has used them; given ``slots``,
+    every instruction's value is also appended there."""
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for op, arg, node, _ in code:
+        if op == _VAR:
+            v = X[:, arg]
+        elif op == _CONST:
+            v = arg
+        elif op <= _DIV:
+            b = pop()
+            a = pop()
+            if op == _ADD:
+                v = a + b
+            elif op == _SUB:
+                v = a - b
+            elif op == _MUL:
+                v = a * b
+            else:
+                _domain_check(b != 0.0, "division by zero", node)
+                v = a / b
+        elif op == _NEG:
+            v = -pop()
+        elif op <= _POW_FRAC:
+            a = pop()
+            if op == _POW_FRAC:
+                _domain_check(a >= 0.0, "negative base with a fractional exponent", node)
+            elif op == _POW_NEG:
+                _domain_check(a != 0.0, "zero raised to a negative power", node)
+            v = a ** arg
+        elif op == _EXP:
+            v = np.exp(pop())
+        elif op == _LOG:
+            a = pop()
+            _domain_check(a > 0.0, "log of a non-positive value", node)
             v = np.log(a)
         else:
-            _domain_check(a >= 0.0, "sqrt of a negative value", e)
+            a = pop()
+            _domain_check(a >= 0.0, "sqrt of a negative value", node)
             v = np.sqrt(a)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if vals is not None:
-        vals[id(e)] = v
-    return v
+        push(v)
+        if slots is not None:
+            slots.append(v)
+    return stack[0]
 
 
-def _grad(e: Expr, vals: dict, bar, G: np.ndarray) -> None:
-    """The reverse sweep: add ``bar * d e/dx`` into the rows of ``G``, reading
-    node values from the ``vals`` of :func:`_value`.  That sweep has checked
-    every value domain; only the derivative's own are checked here."""
-    if isinstance(e, Var):
-        G[:, e.index] += bar
-    elif isinstance(e, Neg):
-        _grad(e.operand, vals, -bar, G)
-    elif isinstance(e, (Add, Sub)):
-        _grad(e.left, vals, bar, G)
-        _grad(e.right, vals, bar if isinstance(e, Add) else -bar, G)
-    elif isinstance(e, Mul):
-        _grad(e.left, vals, bar * vals[id(e.right)], G)
-        _grad(e.right, vals, bar * vals[id(e.left)], G)
-    elif isinstance(e, Div):
-        bar_num = bar / vals[id(e.right)]
-        _grad(e.left, vals, bar_num, G)
-        _grad(e.right, vals, -bar_num * vals[id(e)], G)
-    elif isinstance(e, Pow):
-        p, a = e.exponent, vals[id(e.base)]
-        if p == 0.0:
-            return
-        if not _is_integral(p):
-            # fractional exponents need a strictly positive base for a finite slope
-            _domain_check(a > 0.0, "fractional power of zero in a derivative", e)
-        _grad(e.base, vals, bar * (p * a ** (p - 1.0)), G)
-    elif isinstance(e, Func):
-        a = vals[id(e.arg)]
-        if e.name == "exp":
-            _grad(e.arg, vals, bar * vals[id(e)], G)
-        elif e.name == "log":
-            _grad(e.arg, vals, bar / a, G)
+def _reverse(code: list, vals: list, G: np.ndarray) -> None:
+    """The reverse sweep: add ``d e/dx`` into the rows of ``G``, reading
+    node values from the ``slots`` of :func:`_forward`.  Each node pushes
+    its operands' adjoints on a stack, the left one on top, so the nodes are
+    visited in pre-order (node, left subtree, right subtree): contributions
+    reach ``G`` and derivative domain errors are raised in the order of a
+    recursive descent.  The forward sweep has checked every value domain;
+    only the derivative's own are checked here.  The base of ``^ 0`` gets no
+    adjoint, and its subtree is not visited."""
+    stack = [(len(code) - 1, 1.0)]
+    push = stack.append
+    while stack:
+        k, bar = stack.pop()
+        op, arg, node, kids = code[k]
+        if op == _VAR:
+            G[:, arg] += bar
+        elif op == _CONST:
+            pass
+        elif op <= _DIV:
+            left, right = kids
+            if op == _ADD:
+                bar_l, bar_r = bar, bar
+            elif op == _SUB:
+                bar_l, bar_r = bar, -bar
+            elif op == _MUL:
+                bar_l, bar_r = bar * vals[right], bar * vals[left]
+            else:
+                bar_l = bar / vals[right]
+                bar_r = -bar_l * vals[k]
+            push((right, bar_r))
+            push((left, bar_l))
         else:
-            _domain_check(a > 0.0, "sqrt of a non-positive value in a derivative", e)
-            _grad(e.arg, vals, bar * (0.5 / vals[id(e)]), G)
-    elif not isinstance(e, Const):
-        raise TypeError(f"not an expression node: {e!r}")
-
-
-def _as_points(x) -> np.ndarray:
-    X = np.asarray(x, dtype=float)
-    if X.ndim == 1:
-        return X[None, :]
-    if X.ndim == 2:
-        return X
-    raise ValueError(f"expected a point or an (N, n) array of points, got shape {X.shape}")
+            (kid,) = kids
+            if op == _NEG:
+                push((kid, -bar))
+            elif op <= _POW_FRAC:
+                if arg != 0.0:
+                    a = vals[kid]
+                    if op == _POW_FRAC:
+                        # fractional exponents need a strictly positive base for a finite slope
+                        _domain_check(a > 0.0, "fractional power of zero in a derivative", node)
+                    push((kid, bar * (arg * a ** (arg - 1.0))))
+            elif op == _EXP:
+                push((kid, bar * vals[k]))
+            elif op == _LOG:
+                push((kid, bar / vals[kid]))
+            else:
+                message = "sqrt of a non-positive value in a derivative"
+                _domain_check(vals[kid] > 0.0, message, node)
+                push((kid, bar * (0.5 / vals[k])))
 
 
 def eval_value(e: Expr, x) -> float | np.ndarray:
     """Evaluate ``e`` at a point (returns float) or an ``(N, n)`` batch
     (returns an ``(N,)`` array)."""
-    x_arr = np.asarray(x, dtype=float)
-    single = x_arr.ndim == 1
-    X = _as_points(x_arr)
+    X = np.asarray(x, dtype=float)
+    single = X.ndim == 1
+    if single:
+        X = X[None, :]
+    elif X.ndim != 2:
+        raise ValueError(f"expected a point or an (N, n) array of points, got shape {X.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _value(e, X)
+        v = _forward(_tape(e), X)
     if v.ndim == 0:  # a constant expression
         v = np.full(X.shape[0], v)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise EvalDomainError("evaluation overflowed to a non-finite value", render(e))
     return float(v[0]) if single else v
 
 
 def eval_grad(e: Expr, x) -> EvalResult:
     """Value and exact gradient at a single point: the forward sweep
-    :func:`_value` records every node's value, the reverse sweep :func:`_grad`
-    carries ``d e/d node`` from the root down to the variables.  The value is
-    the one :func:`eval_value` gives.
+    :func:`_forward` records every node's value, the reverse sweep
+    :func:`_reverse` carries ``d e/d node`` from the root down to the
+    variables.  The value is the one :func:`eval_value` gives.
 
     Deterministic: identical inputs give bit-identical outputs.
     """
     x_arr = np.asarray(x, dtype=float)
     if x_arr.ndim != 1:
         raise ValueError(f"expected a single point, got shape {x_arr.shape}")
-    vals: dict = {}
+    code = _tape(e)
+    vals: list = []
     g = np.zeros((1, x_arr.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        v = float(np.ravel(_value(e, x_arr[None, :], vals))[0])
-        _grad(e, vals, 1.0, g)
-    if not (np.isfinite(v) and np.all(np.isfinite(g[0]))):
+        v = float(np.ravel(_forward(code, x_arr[None, :], vals))[0])
+        _reverse(code, vals, g)
+    if not (np.isfinite(v) and np.isfinite(g[0]).all()):
         raise EvalDomainError("evaluation overflowed to a non-finite value", render(e))
     return EvalResult(value=v, gradient=g[0])

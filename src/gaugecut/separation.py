@@ -345,7 +345,8 @@ def _boundary_crossings(
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = np.ones(k)
-    f_hi = _fmax_rows(cons, x0 + t_hi[:, None] * D) if f_one is None else f_one
+    Dt = np.ascontiguousarray(D.T)  # Dt[:, r] is row r's direction
+    f_hi = _fmax_rows(cons, _ray_points(x0, t_hi, Dt)) if f_one is None else f_one
     need = f_hi <= 0.0
     for _ in range(_DOUBLINGS):
         if not np.any(need):
@@ -353,20 +354,28 @@ def _boundary_crossings(
         t_lo[need] = t_hi[need]
         t_hi[need] *= 2.0
         idx = np.nonzero(need)[0]
-        f_new = _fmax_rows(cons, x0 + t_hi[idx, None] * D[idx])
+        f_new = _fmax_rows(cons, _ray_points(x0, t_hi[idx], Dt.take(idx, axis=1)))
         need[idx] = f_new <= 0.0
     ok = ~need
     rows = np.nonzero(ok)[0]
     for start in range(0, rows.size, _BLOCK_ROWS):
-        still_open = _bisect(cons, x0, D, rows[start:start + _BLOCK_ROWS], t_lo, t_hi, tol, settle)
+        still_open = _bisect(cons, x0, Dt, rows[start:start + _BLOCK_ROWS], t_lo, t_hi, tol, settle)
         ok[still_open] = False
     return t_lo, ok
 
 
-def _bisect(cons, x0, D, rows, t_lo, t_hi, tol, settle) -> np.ndarray:
+def _ray_points(x0: np.ndarray, t: np.ndarray, Dt: np.ndarray) -> np.ndarray:
+    """The points ``x0 + t[r] * Dt[:, r]``, as the rows of the transpose of
+    a C-ordered ``(n, N)`` array (see :func:`_bisect` for why)."""
+    P = np.multiply(t, Dt, order="C")
+    P += x0[:, None]
+    return P.T
+
+
+def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle) -> np.ndarray:
     """Bisect the brackets ``[t_lo, t_hi]`` of ``rows``, writing each closed
     row's ``t_lo``; returns the rows still open after ``_BISECTIONS``
-    halvings.
+    halvings.  ``Dt[:, r]`` is row ``r``'s direction.
 
     A round with ``R`` open rows takes ``d`` halvings at once, the most with
     ``R (2^d - 1) <= _ROUND_POINTS`` (at least one).  A wide round, ``d =
@@ -384,7 +393,7 @@ def _bisect(cons, x0, D, rows, t_lo, t_hi, tol, settle) -> np.ndarray:
     # of an (n, N) array: numpy builds and evaluates its contiguous
     # coordinates much faster than the strided columns of an (N, n) one, and
     # its elementwise functions give the same values in either layout
-    lo, hi, Dt = t_lo[rows], t_hi[rows], D[rows].T.copy()
+    lo, hi, Dt = t_lo[rows], t_hi[rows], Dt.take(rows, axis=1)
     f_lo = np.full(rows.size, -math.inf)  # unknown until a halving lands inside
     done = 0
     while rows.size and done < _BISECTIONS:
@@ -393,9 +402,7 @@ def _bisect(cons, x0, D, rows, t_lo, t_hi, tol, settle) -> np.ndarray:
         done += d
         if d == 1:
             mid = 0.5 * (lo + hi)
-            P = mid * Dt
-            P += x0[:, None]
-            fm = _fmax_rows(cons, P.T)
+            fm = _fmax_rows(cons, _ray_points(x0, mid, Dt))
             above = fm > 0.0
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
@@ -458,7 +465,10 @@ def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:
     nonzero = np.nonzero(np.any(X != x0, axis=1))[0]
     if nonzero.size == 0:
         return phi, ok
-    t_star, ray_ok = _boundary_crossings(cons, x0, X[nonzero] - x0)
+    # the directions are built in the (n, k) layout the kernel reads, so it
+    # needs no copy of its own
+    Dt = np.subtract(X[nonzero].T, x0[:, None], order="C")
+    t_star, ray_ok = _boundary_crossings(cons, x0, Dt.T)
     phi[nonzero] = np.where(ray_ok, 1.0 / np.maximum(t_star, 1e-300), 0.0)
     ok[nonzero] = ray_ok
     return phi, ok

@@ -22,6 +22,7 @@ from gaugecut import (
     load_problem,
     lp_solve,
 )
+from gaugecut.expr import Add, Const, Div, EvalResult, Func, Mul, Neg, Pow, Sub, Var, render
 from gaugecut.separation import _BISECTIONS, _DOUBLINGS, BOUNDARY_TOL
 from gaugecut.separation import _fmax_rows as _REFERENCE_FMAX
 
@@ -299,3 +300,125 @@ def kelley_on_gauge(p: Problem, cfg: SolverConfig) -> tuple[int, int, float]:
             s = v / float(v @ (xhat - x0))
             cuts += add_cut(model, Cut(s, 1.0 + float(s @ x0), origin="kelley"))
     raise AssertionError(f"no eps_feas-feasible iterate in {cfg.max_iters} LP solves")
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluator: the recursive interpreter the tape replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_check(ok, message: str, node) -> None:
+    if not np.all(ok):
+        raise EvalDomainError(message, render(node))
+
+
+def _ref_integral(p: float) -> bool:
+    return p == round(p) and abs(p) < 2**31
+
+
+def _ref_value(e, X: np.ndarray, vals: dict | None = None):
+    """Values at the rows of ``X`` by recursion over the tree; given
+    ``vals``, each node's value is also recorded there under ``id(node)``."""
+    if isinstance(e, Const):
+        v = np.float64(e.value)
+    elif isinstance(e, Var):
+        v = X[:, e.index]
+    elif isinstance(e, Neg):
+        v = -_ref_value(e.operand, X, vals)
+    elif isinstance(e, Add):
+        v = _ref_value(e.left, X, vals) + _ref_value(e.right, X, vals)
+    elif isinstance(e, Sub):
+        v = _ref_value(e.left, X, vals) - _ref_value(e.right, X, vals)
+    elif isinstance(e, Mul):
+        v = _ref_value(e.left, X, vals) * _ref_value(e.right, X, vals)
+    elif isinstance(e, Div):
+        num = _ref_value(e.left, X, vals)
+        den = _ref_value(e.right, X, vals)
+        _ref_check(den != 0.0, "division by zero", e)
+        v = num / den
+    elif isinstance(e, Pow):
+        a = _ref_value(e.base, X, vals)
+        if not _ref_integral(e.exponent):
+            _ref_check(a >= 0.0, "negative base with a fractional exponent", e)
+        elif e.exponent < 0:
+            _ref_check(a != 0.0, "zero raised to a negative power", e)
+        v = a ** e.exponent
+    elif isinstance(e, Func):
+        a = _ref_value(e.arg, X, vals)
+        if e.name == "exp":
+            v = np.exp(a)
+        elif e.name == "log":
+            _ref_check(a > 0.0, "log of a non-positive value", e)
+            v = np.log(a)
+        else:
+            _ref_check(a >= 0.0, "sqrt of a negative value", e)
+            v = np.sqrt(a)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if vals is not None:
+        vals[id(e)] = v
+    return v
+
+
+def _ref_grad(e, vals: dict, bar, G: np.ndarray) -> None:
+    """Add ``bar * d e/dx`` into the rows of ``G`` by recursion, node before
+    left before right, reading the values ``_ref_value`` recorded."""
+    if isinstance(e, Var):
+        G[:, e.index] += bar
+    elif isinstance(e, Neg):
+        _ref_grad(e.operand, vals, -bar, G)
+    elif isinstance(e, (Add, Sub)):
+        _ref_grad(e.left, vals, bar, G)
+        _ref_grad(e.right, vals, bar if isinstance(e, Add) else -bar, G)
+    elif isinstance(e, Mul):
+        _ref_grad(e.left, vals, bar * vals[id(e.right)], G)
+        _ref_grad(e.right, vals, bar * vals[id(e.left)], G)
+    elif isinstance(e, Div):
+        bar_num = bar / vals[id(e.right)]
+        _ref_grad(e.left, vals, bar_num, G)
+        _ref_grad(e.right, vals, -bar_num * vals[id(e)], G)
+    elif isinstance(e, Pow):
+        p, a = e.exponent, vals[id(e.base)]
+        if p == 0.0:
+            return
+        if not _ref_integral(p):
+            _ref_check(a > 0.0, "fractional power of zero in a derivative", e)
+        _ref_grad(e.base, vals, bar * (p * a ** (p - 1.0)), G)
+    elif isinstance(e, Func):
+        a = vals[id(e.arg)]
+        if e.name == "exp":
+            _ref_grad(e.arg, vals, bar * vals[id(e)], G)
+        elif e.name == "log":
+            _ref_grad(e.arg, vals, bar / a, G)
+        else:
+            _ref_check(a > 0.0, "sqrt of a non-positive value in a derivative", e)
+            _ref_grad(e.arg, vals, bar * (0.5 / vals[id(e)]), G)
+    elif not isinstance(e, Const):
+        raise TypeError(f"not an expression node: {e!r}")
+
+
+def reference_eval_value(e, x):
+    """Test-only reference for ``eval_value``: the same numpy operations in
+    the same order, by recursion over the tree."""
+    x_arr = np.asarray(x, dtype=float)
+    X = x_arr[None, :] if x_arr.ndim == 1 else x_arr
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _ref_value(e, X)
+    if v.ndim == 0:
+        v = np.full(X.shape[0], v)
+    if not np.all(np.isfinite(v)):
+        raise EvalDomainError("evaluation overflowed to a non-finite value", render(e))
+    return float(v[0]) if x_arr.ndim == 1 else v
+
+
+def reference_eval_grad(e, x) -> EvalResult:
+    """Test-only reference for ``eval_grad``, by recursion over the tree."""
+    x_arr = np.asarray(x, dtype=float)
+    vals: dict = {}
+    g = np.zeros((1, x_arr.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(np.ravel(_ref_value(e, x_arr[None, :], vals))[0])
+        _ref_grad(e, vals, 1.0, g)
+    if not (np.isfinite(v) and np.all(np.isfinite(g[0]))):
+        raise EvalDomainError("evaluation overflowed to a non-finite value", render(e))
+    return EvalResult(value=v, gradient=g[0])

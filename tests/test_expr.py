@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gaugecut import EvalDomainError, ParseError, eval_grad, eval_value, parse, render
-from gaugecut.expr import Add, Const, Div, Func, Mul, Neg, Pow, Sub, Var
+from gaugecut.expr import MAX_NESTING, Add, Const, Div, Func, Mul, Neg, Pow, Sub, Var, _postorder
+from helpers import random_psd_quadratic, reference_eval_grad, reference_eval_value
 
 XY = ("x", "y")
 
@@ -244,3 +246,125 @@ def test_render_parse_roundtrip_fixture_sources():
     for source, names, _ in FD_FIXTURES:
         tree = parse(source, names)
         assert parse(render(tree), names) == tree
+
+
+# ---------------------------------------------------------------------------
+# the tape against the recursive reference evaluator
+# ---------------------------------------------------------------------------
+
+
+def _outcome(f, e, x):
+    """The bytes of what ``f(e, x)`` returns, or the message of the
+    :class:`EvalDomainError` it raises."""
+    try:
+        r = f(e, x)
+    except EvalDomainError as err:
+        return "error", str(err), err.subexpression
+    if hasattr(r, "gradient"):
+        return r.value.hex(), r.gradient.tobytes()
+    return r.hex() if isinstance(r, float) else r.tobytes()
+
+
+DOMAIN_FIXTURES = [
+    ("log(x)", (0.0, 1.0)),
+    ("sqrt(x)", (-1.0, 0.0)),
+    ("x / y", (1.0, 0.0)),
+    ("x ^ 0.5", (-2.0, 0.0)),
+    ("x ^ -1", (0.0, 0.0)),
+    ("sqrt(x)", (0.0, 1.0)),
+    ("x ^ 0.5", (0.0, 1.0)),
+    ("sqrt(x) + log(x)", (0.0, 1.0)),
+    ("x ^ 0.5 * sqrt(y)", (0.0, 0.0)),
+    ("sqrt(y) - x ^ 1.5 / sqrt(x)", (0.0, 0.0)),
+    ("1 / x - log(x)", (0.0, 1.0)),
+    ("sqrt(x) ^ 0 + y", (0.0, 1.0)),
+    ("x + 1 / 0", (1.0, 2.0)),
+    ("0 ^ -1", (1.0, 2.0)),
+    ("y + exp(1000)", (1.0, 2.0)),
+    ("exp(x) ^ 400", (3.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("source,point", DOMAIN_FIXTURES)
+def test_tape_matches_reference_on_domain_fixtures(source, point):
+    e = parse(source, XY)
+    X = np.array([point, (1.0, 1.0), point])
+    for f, ref, x in ((eval_value, reference_eval_value, point),
+                      (eval_value, reference_eval_value, X),
+                      (eval_grad, reference_eval_grad, point)):
+        assert _outcome(f, e, x) == _outcome(ref, e, x), (source, f.__name__)
+
+
+def test_tape_matches_reference_random_trees():
+    rng = np.random.default_rng(13)
+    errors = 0
+    for _ in range(600):
+        tree = _random_tree(rng, XY, depth=5)
+        X = rng.uniform(-3.0, 3.0, size=(5, 2))
+        got = [_outcome(eval_grad, tree, X[0]), _outcome(eval_value, tree, X[0]),
+               _outcome(eval_value, tree, X)]
+        expect = [_outcome(reference_eval_grad, tree, X[0]),
+                  _outcome(reference_eval_value, tree, X[0]),
+                  _outcome(reference_eval_value, tree, X)]
+        assert got == expect, render(tree)
+        errors += got[0][0] == "error"
+    assert 100 <= errors <= 500  # both outcomes are exercised
+
+
+# ---------------------------------------------------------------------------
+# no recursion on user-sized input
+# ---------------------------------------------------------------------------
+
+
+def test_long_sum_parses_evaluates_and_renders():
+    n = 5000
+    names = tuple(f"x{i}" for i in range(n))
+    source = " + ".join(f"{v}^2" for v in names) + " - 1"
+    e = parse(source, names)
+    x = np.full(n, 0.01)
+    assert abs(eval_value(e, x) - (n * 1e-4 - 1.0)) <= 1e-12
+    X = np.stack([x, 2.0 * x])
+    assert np.allclose(eval_value(e, X), [n * 1e-4 - 1.0, n * 4e-4 - 1.0], rtol=0, atol=1e-12)
+    r = eval_grad(e, x)
+    assert r.value == eval_value(e, x)
+    assert np.array_equal(r.gradient, 2.0 * x)
+    text = render(e)
+    assert render(parse(text, names)) == text
+    assert eval_value(parse(text, names), X).tobytes() == eval_value(e, X).tobytes()
+
+
+@pytest.mark.parametrize("opener,closer", [("(", ")"), ("exp(", ")"), ("-", "")])
+def test_deep_nesting_is_a_parse_error(opener, closer):
+    source = opener * 1000 + "x" + closer * 1000
+    with pytest.raises(ParseError, match="nesting deeper than") as err:
+        parse(source, XY)
+    # the first nesting past the limit is named
+    assert err.value.position == MAX_NESTING * len(opener)
+    within = parse(opener * MAX_NESTING + "x" + closer * MAX_NESTING, XY)
+    assert parse(render(within), XY) == within
+
+
+def test_long_exponent_chain_is_a_parse_error():
+    with pytest.raises(ParseError, match="nesting deeper than") as err:
+        parse("x" + " ^ 2" * 1000, XY)
+    assert err.value.position == 2 + 4 * MAX_NESTING  # the 101st "^"
+
+
+def test_batched_evaluation_holds_few_row_arrays():
+    # a tape that kept every node's value alive would hold about one row
+    # array per node; the value stack keeps a handful
+    rng = np.random.default_rng(3)
+    q = random_psd_quadratic(rng, 4, singular=False, b_in_range=True)
+    e = q.to_expr()
+    assert sum(1 for _ in _postorder(e)) >= 40
+    N = 100_000
+    X = rng.uniform(-1.0, 1.0, size=(N, 4))
+    eval_value(e, X[:2])  # the tape is built outside the measurement
+    tracemalloc.start()
+    try:
+        v = eval_value(e, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(v[:5], [q.value(x) for x in X[:5]], rtol=1e-12, atol=1e-12)
+    assert peak <= 8 * N * 8, f"peak {peak / (N * 8):.1f} row arrays"
