@@ -5,11 +5,14 @@
 
 The first form runs every item of each workload in ``perfbench/workloads.py``
 (imported, never changed) for each seed, untimed, and writes the SHA-1 of
-each item's ``Outcome.signature``.  For ``verify`` it also writes the SHA-1
-of the ``phi`` and ``ok`` arrays of every ``gauge_values`` grid.  ``--root``
-points at another source checkout, so that two commits can be compared
-from one place.  The second form prints the items whose hashes differ and
-exits with 1 when any do.
+each item's ``Outcome.signature`` next to the signature itself (status,
+iterations, cuts and objective in hex per solve).  For ``verify`` it also
+writes the SHA-1 of the ``phi`` and ``ok`` arrays of every ``gauge_values``
+grid.  ``--root`` points at another source checkout, so that two commits can
+be compared from one place.  The second form prints the items whose hashes
+differ, split into structural differences (status, iterations, cuts or any
+other entry) and objective-only ones with their largest relative objective
+difference, and exits with 1 when any differ.
 """
 
 from __future__ import annotations
@@ -61,8 +64,12 @@ def _signatures(root: Path, workloads, seeds, seconds: float) -> dict:
             wl = WORKLOADS[name](seed, seconds)
             wl.prepare()
             grids.clear()
-            items = [_sha1(repr(wl.run(item).signature).encode()) for item in wl.items]
-            out.setdefault(name, {})[str(seed)] = {"items": items, "grids": list(grids)}
+            raw = [wl.run(item).signature for item in wl.items]
+            out.setdefault(name, {})[str(seed)] = {
+                "items": [_sha1(repr(sig).encode()) for sig in raw],
+                "raw": json.loads(json.dumps(raw)),  # tuples become lists
+                "grids": list(grids),
+            }
     env = {"python": platform.python_version(), "numpy": np.__version__}
     return {"environment": env, "commit": _commit(root), "seconds": seconds, "signatures": out}
 
@@ -75,8 +82,62 @@ def _commit(root: Path) -> str | None:
         return None
 
 
+def _split(raw: list) -> tuple[list, list]:
+    """A raw signature as its structure and its objectives: a solve's entry
+    ``[status, iterations, cuts, objective]`` gives its objective to the
+    second list and whether it has one to the first; every other entry (an
+    error name, a gauge sum, a verdict) is structure."""
+    structure, objectives = [], []
+    for entry in raw:
+        if isinstance(entry, list) and len(entry) == 4:
+            structure.append(entry[:3] + [entry[3] is None])
+            objectives.append(entry[3])
+        else:
+            structure.append(entry)
+    return structure, objectives
+
+
+def _relative_gap(p: list, q: list) -> float:
+    """Largest relative difference of two objective lists of equal shape."""
+    gap = 0.0
+    for u, v in zip(p, q):
+        if u != v:
+            x, y = float.fromhex(u), float.fromhex(v)
+            gap = max(gap, abs(x - y) / max(abs(x), abs(y), sys.float_info.min))
+    return gap
+
+
+def _item_lines(where: str, ra: dict, rb: dict) -> list[str]:
+    xa, xb = ra["items"], rb["items"]
+    differ = [i for i, (p, q) in enumerate(zip(xa, xb)) if p != q]
+    lines = [f"{where}: {len(xa)} items against {len(xb)}"] if len(xa) != len(xb) else []
+    if not differ:
+        return lines
+    if "raw" not in ra or "raw" not in rb:  # files written before raw signatures
+        return lines + [f"{where}: items {differ} differ"]
+    structural, objective, unknown, worst = [], [], [], 0.0
+    for i in differ:
+        (sa, oa), (sb, ob) = _split(ra["raw"][i]), _split(rb["raw"][i])
+        if sa != sb:
+            structural.append(i)
+        elif oa != ob:
+            objective.append(i)
+            worst = max(worst, _relative_gap(oa, ob))
+        else:  # equal signatures under different hashes
+            unknown.append(i)
+    if structural:
+        lines.append(f"{where}: items {structural} differ in structure")
+    if objective:
+        lines.append(f"{where}: items {objective} differ in objective only "
+                     f"({len(objective)} of {len(xa)}, max relative {worst:.3g})")
+    if unknown:
+        lines.append(f"{where}: items {unknown} differ")
+    return lines
+
+
 def compare(a: dict, b: dict) -> list[str]:
-    """One line per workload, seed and kind whose hashes differ."""
+    """One line per workload, seed and kind of difference: structural items,
+    objective-only items with their largest relative difference, and grids."""
     lines = []
     sa, sb = a["signatures"], b["signatures"]
     for name in sorted(set(sa) | set(sb)):
@@ -85,13 +146,13 @@ def compare(a: dict, b: dict) -> list[str]:
             if ra is None or rb is None:
                 lines.append(f"{name} seed {seed}: only in {'B' if ra is None else 'A'}")
                 continue
-            for kind in ("items", "grids"):
-                xa, xb = ra[kind], rb[kind]
-                differ = [i for i, (p, q) in enumerate(zip(xa, xb)) if p != q]
-                if len(xa) != len(xb):
-                    lines.append(f"{name} seed {seed}: {len(xa)} {kind} against {len(xb)}")
-                if differ:
-                    lines.append(f"{name} seed {seed}: {kind} {differ} differ")
+            lines += _item_lines(f"{name} seed {seed}", ra, rb)
+            xa, xb = ra["grids"], rb["grids"]
+            differ = [i for i, (p, q) in enumerate(zip(xa, xb)) if p != q]
+            if len(xa) != len(xb):
+                lines.append(f"{name} seed {seed}: {len(xa)} grids against {len(xb)}")
+            if differ:
+                lines.append(f"{name} seed {seed}: grids {differ} differ")
     return lines
 
 

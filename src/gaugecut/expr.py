@@ -33,7 +33,8 @@ line-search code can treat "outside the domain" explicitly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import zip_longest
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -72,7 +73,12 @@ MAX_NESTING = 100
 
 
 class Expr:
-    """Base class of all expression nodes.  Immutable; safe to share."""
+    """Base class of all expression nodes.  Immutable; safe to share.
+
+    Two expressions are equal when their trees are: the same node types in
+    the same places, with equal constants, names, indices and exponents
+    (so ``Const(0.0) == Const(-0.0)``).  Equality and hashing walk the tree
+    with an explicit stack, so they handle sums of any length."""
 
     __slots__ = ()
     _tape = None  # the evaluation tape, cached on the first evaluation
@@ -80,54 +86,64 @@ class Expr:
     def __str__(self) -> str:
         return render(self)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        # post-order with each type's arity fixed determines the tree
+        pairs = zip_longest(map(_node_key, _postorder(self)), map(_node_key, _postorder(other)))
+        return self is other or all(a == b for a, b in pairs)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(tuple(map(_node_key, _postorder(self))))
+
+
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     index: int
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Func(Expr):
     name: str  # one of FUNCTION_NAMES
     arg: Expr
@@ -389,6 +405,13 @@ def _postorder(e: Expr) -> Iterator[Expr]:
         else:
             stack.append((node, True))
             stack.extend((c, False) for c in reversed(_children(node)))
+
+
+def _node_key(node: Expr) -> tuple:
+    """A node's type and its fields other than its operands."""
+    return (type(node),) + tuple(
+        v for f in fields(node) if not isinstance(v := getattr(node, f.name), Expr)
+    )
 
 
 def max_var_index(e: Expr) -> int:

@@ -19,6 +19,15 @@ reduced costs unchanged, so the next solve starts dual feasible from there
 and typically needs one or two pivots.  A start basis that fails the
 dual-feasibility check is replaced by the all-slack basis.
 
+The basis carries its inverse, so a solve does not factor it again.  The new
+rows' slacks are basic, so the inverse for the grown pool is the bordered
+one, ``[[B^-1, 0], [-C B^-1, I]]`` with ``C`` the new rows' entries on the
+basic structurals (row addition in the bounded dual simplex); the duals do
+not change.  Pivots update the inverse in product form into a new array, so
+branch-and-bound children can share their parent's basis.  The basis also
+carries its age, the updates since the last factorization, and the inverse
+is factored afresh once that reaches :data:`_REFACTOR_EVERY`.
+
 Pivoting is deterministic: leave on the most infeasible basic variable, enter
 on the smallest dual ratio, ties to the largest |pivot| and then the lowest
 index.  After ``10*(rows+cols)`` pivots both choices switch to the lowest
@@ -47,7 +56,8 @@ FEAS_TOL = 1e-9
 _PRIMAL_TOL = 1e-12  # a basic variable this far outside its bounds leaves
 _PIVOT_TOL = 1e-10  # smallest |pivot| a column may enter with
 _RATIO_TIE_TOL = 1e-12  # dual ratios this close count as tied
-# basis inverse is recomputed from scratch after this many product-form updates
+# the basis inverse is factored afresh after this many product-form updates,
+# counted across solves
 _REFACTOR_EVERY = 50
 
 
@@ -109,10 +119,17 @@ class LpBasis:
     basic in row ``i``: ``j < n`` is structural ``j`` and ``n + k`` the slack
     of cut ``k``.  ``at_upper`` marks the structurals that sit at their upper
     bound when nonbasic.  Rows added after the basis was taken enter with
-    their slacks basic."""
+    their slacks basic.
+
+    ``inverse`` is the read-only inverse of the basis matrix on the rows the
+    basis was taken on, and ``age`` the product-form updates it has had since
+    it was last factored.  Without an inverse the next solve factors the
+    basis afresh."""
 
     columns: np.ndarray
     at_upper: np.ndarray
+    inverse: np.ndarray | None = None
+    age: int = 0
 
 
 @dataclass
@@ -188,7 +205,8 @@ def lp_solve(m: LpModel) -> LpSolution:
     simplex = _DualSimplex(A, b, m.lower, m.upper, m.objective)
     sol = simplex.run() if m.basis is not None and simplex.load(m.basis) else None
     if sol is None:
-        simplex.load(LpBasis(np.zeros(0, dtype=int), np.zeros(m.n, dtype=bool)))
+        # the all-slack basis: its empty inverse bordered is the identity
+        simplex.load(LpBasis(np.zeros(0, dtype=int), np.zeros(m.n, dtype=bool), np.eye(0)))
         sol = simplex.run()
     if sol is None:
         raise SimplexNumericalError(
@@ -200,7 +218,11 @@ def lp_solve(m: LpModel) -> LpSolution:
 
 class _DualSimplex:
     """Dense bounded dual simplex on ``[A I] (x, s) = b`` with an explicit
-    basis inverse, updated in product form and recomputed periodically.
+    basis inverse.  The inverse comes with the start basis, bordered for the
+    rows added since, is updated in product form at each pivot, and is
+    factored afresh once :data:`_REFACTOR_EVERY` updates have accumulated,
+    counted across solves.  An update never writes into an inverse that a
+    basis handed out: branch-and-bound siblings share their parent's.
 
     Columns ``0..n-1`` are structural (boxed), ``n..n+m-1`` the row slacks
     (``[0, inf)``, so nonbasic slacks sit at zero).
@@ -233,20 +255,40 @@ class _DualSimplex:
         self.is_basic[self.columns] = True
         self.at_upper = np.zeros(n + m, dtype=bool)
         self.at_upper[:n] = start.at_upper
-        try:
-            self._factor()
-        except SimplexNumericalError:
-            return False
+        inverse = start.inverse
+        if inverse is not None and inverse.shape == (k, k) and start.age < _REFACTOR_EVERY:
+            self._border(inverse, k)
+            self.age = start.age
+        else:
+            try:
+                self._factor()
+            except SimplexNumericalError:
+                return False
         # boxed structurals are dual feasible at the bound their reduced cost
         # favours; a nonbasic slack with negative reduced cost is not
-        d = self._reduced_costs()
+        self.d = d = self._reduced_costs()  # kept for the first pivot; None once stale
         struct = ~self.is_basic[:n]
         self.at_upper[:n] = np.where(struct & (d[:n] != 0.0), d[:n] < 0.0, self.at_upper[:n])
         slack_d = d[n:][~self.is_basic[n:]]
-        return not np.any(slack_d < -FEAS_TOL)
+        return not (slack_d < -FEAS_TOL).any()
 
     def basis(self) -> LpBasis:
-        return LpBasis(self.columns.copy(), self.at_upper[: self.n].copy())
+        self.Binv.setflags(write=False)
+        return LpBasis(self.columns.copy(), self.at_upper[: self.n].copy(), self.Binv, self.age)
+
+    def _border(self, inverse: np.ndarray, k: int) -> None:
+        """Inverse of the basis extended by the basic slacks of rows ``k..m-1``:
+        ``[[B^-1, 0], [-C B^-1, I]]``, where ``C`` holds those rows' entries on
+        the basic structurals."""
+        if k == self.m:
+            self.Binv = inverse
+            return
+        Binv = np.eye(self.m)
+        Binv[:k, :k] = inverse
+        start = self.columns[:k]
+        struct = start < self.n
+        Binv[k:, :k] = -(self.A[k:, start[struct]] @ inverse[struct])
+        self.Binv = Binv
 
     def _factor(self) -> None:
         B = np.zeros((self.m, self.m))
@@ -257,6 +299,7 @@ class _DualSimplex:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as err:
             raise SimplexNumericalError(f"singular basis matrix: {err}") from err
+        self.age = 0
 
     # -- core loop -------------------------------------------------------
 
@@ -300,21 +343,23 @@ class _DualSimplex:
                 rows = np.flatnonzero(infeas > _PRIMAL_TOL)
                 r = int(rows[np.argmin(self.columns[rows])])
             else:
-                r = int(np.argmax(infeas))
+                r = int(infeas.argmax())
             to_upper = bool(xB[r] > hiB[r])
             rho = self.Binv[r]
             alpha = np.concatenate([rho @ self.A, rho])
             # +1 for a nonbasic at its lower bound (may increase), -1 at upper
             side = np.where(self.at_upper, -1.0, 1.0)
             toward = side * alpha if to_upper else -side * alpha
-            eligible = np.flatnonzero((toward > _PIVOT_TOL) & ~self.is_basic & self.movable)
+            eligible = ((toward > _PIVOT_TOL) & ~self.is_basic & self.movable).nonzero()[0]
             if eligible.size == 0:
                 if worst <= FEAS_TOL:  # infeasible by less than the tolerance
                     return LpSolution("optimal", x, float(self.c @ x), self.pivots)
                 if self._certifies_infeasible(rho, r, alpha):
                     return LpSolution("infeasible", None, None, self.pivots)
                 return None
-            d = self._reduced_costs()
+            if self.d is None:
+                self.d = self._reduced_costs()
+            d = self.d
             ratio = np.maximum(side[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
             tied = eligible[ratio <= ratio.min() + _RATIO_TIE_TOL]
             if lowest_index:
@@ -324,12 +369,10 @@ class _DualSimplex:
             self._pivot(r, q, to_upper)
 
     def _pivot(self, r: int, q: int, to_upper: bool) -> None:
-        if q < self.n:
-            w = self.Binv @ self.A[:, q]
-        else:
-            w = self.Binv[:, q - self.n].copy()
+        w = self.Binv @ self.A[:, q] if q < self.n else self.Binv[:, q - self.n]
         row = self.Binv[r] / w[r]
-        self.Binv -= np.outer(w, row)
+        # a new array, never an update in place: the old inverse may be shared
+        self.Binv = self.Binv - w[:, None] * row
         self.Binv[r] = row
         leaving = self.columns[r]
         self.is_basic[leaving] = False
@@ -337,8 +380,10 @@ class _DualSimplex:
         self.columns[r] = q
         self.is_basic[q] = True
         self.at_upper[q] = False
+        self.d = None
         self.pivots += 1
-        if self.pivots % _REFACTOR_EVERY == 0:
+        self.age += 1
+        if self.age >= _REFACTOR_EVERY:
             self._factor()
 
     def _certifies_infeasible(self, rho: np.ndarray, r: int, alpha: np.ndarray) -> bool:

@@ -332,7 +332,9 @@ def check_esh_kcp_equivalence(
 @dataclass(frozen=True, eq=False)
 class BnbNode:
     """Box restriction of the root problem with the bound inherited from its
-    parent's final LP value, and the parent's final LP basis to start from."""
+    parent's final LP value, and the parent's final LP basis to start from.
+    The basis carries its inverse, so a child's first solve factors nothing;
+    both children share it, and neither solve writes into it."""
 
     bound: float
     depth: int
@@ -357,7 +359,8 @@ def solve_bnb(p: Problem, cfg: SolverConfig | None = None, inner: str = "kelley"
     continuous feasible region itself, never derived from integrality, so
     work done in one node tightens all others.  One LP model serves the whole
     tree: each node sets its box and starts from its parent's final basis,
-    whose rows keep their positions because the pool only grows.  Nodes are
+    whose rows keep their positions because the pool only grows.  The basis
+    brings its inverse along, bordered in the LP for the cuts added since.  Nodes are
     selected by parent bound, ties by depth then creation order — fully
     deterministic.  The recorded per-node objective is the global lower
     bound (best open node) after the node is processed, which is

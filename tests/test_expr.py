@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaugecut import EvalDomainError, ParseError, eval_grad, eval_value, parse, render
+from gaugecut import EvalDomainError, ParseError, eval_grad, eval_value, load_problem, parse, render
 from gaugecut.expr import MAX_NESTING, Add, Const, Div, Func, Mul, Neg, Pow, Sub, Var, _postorder
 from helpers import random_psd_quadratic, reference_eval_grad, reference_eval_value
 
@@ -331,6 +331,35 @@ def test_long_sum_parses_evaluates_and_renders():
     text = render(e)
     assert render(parse(text, names)) == text
     assert eval_value(parse(text, names), X).tobytes() == eval_value(e, X).tobytes()
+
+
+def test_long_sum_compares_and_hashes():
+    n = 1000
+    names = tuple(f"x{i}" for i in range(n))
+    source = " + ".join(f"{v}^2" for v in names) + " - 1"
+    a, b = parse(source, names), parse(source, names)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse(source[:-1] + "2", names)
+    assert a != parse(source.replace("x7^2", "x7^3"), names)
+
+    def problem(src):
+        return load_problem({
+            "variables": [{"name": v, "lb": -2.0, "ub": 2.0} for v in names],
+            "objective": [1.0] * n,
+            "constraints": [{"name": "ball", "expr": src}],
+        })
+
+    assert problem(source) == problem(source)
+    assert problem(source) != problem(source[:-1] + "2")
+
+
+def test_equality_keeps_the_dataclass_semantics():
+    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+    assert Add(Var(0, "x"), Const(1.0)) != Add(Const(1.0), Var(0, "x"))
+    assert Add(Var(0, "x"), Var(1, "y")) != Sub(Var(0, "x"), Var(1, "y"))
+    assert Var(0, "x") != Var(0, "y") and Pow(Var(0, "x"), 2.0) != Pow(Var(0, "x"), 3.0)
+    assert Const(1.0) != 1.0
+    assert len({parse("x^2 + y", XY), parse("x^2 + y", XY), parse("x^2 - y", XY)}) == 2
 
 
 @pytest.mark.parametrize("opener,closer", [("(", ")"), ("exp(", ")"), ("-", "")])

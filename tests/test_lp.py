@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaugecut import Cut, LpModel, SolverConfig, add_cut, lp_solve, solve_esh
-from gaugecut.lp import check_solution
+from gaugecut.lp import _REFACTOR_EVERY, check_solution
 
 from helpers import brute_force_lp
 
@@ -303,3 +303,81 @@ def test_one_added_cut_costs_at_most_three_pivots_on_the_esh_circle(circle):
     for cut in trace.cuts:
         assert add_cut(m, cut)
         assert lp_solve(m).pivots <= 3
+
+
+# ---------------------------------------------------------------------------
+# the basis inverse carried across solves
+# ---------------------------------------------------------------------------
+
+
+def _basis_matrix(m, columns):
+    A, _ = m.rows()
+    k = columns.shape[0]
+    B = np.zeros((k, k))
+    struct = columns < m.n
+    B[:, struct] = A[:k, columns[struct]]
+    B[columns[~struct] - m.n, np.flatnonzero(~struct)] = 1.0
+    return B
+
+
+def test_carried_inverse_inverts_the_basis_after_every_solve():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        lower, upper = np.full(n, -5.0), np.full(n, 5.0)
+        m = LpModel(lower, upper, rng.uniform(-1.0, 1.0, size=n))
+        for cut in _random_pool(rng, n, 30, lower, upper, rng.uniform(lower, upper)):
+            add_cut(m, cut)
+            lp_solve(m)
+            basis = m.basis
+            assert not basis.inverse.flags.writeable
+            with pytest.raises(ValueError):
+                basis.inverse[0, 0] = 1.0
+            k = basis.columns.shape[0]
+            assert np.allclose(basis.inverse @ _basis_matrix(m, basis.columns), np.eye(k),
+                               rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("new_cut", [False, True])
+def test_children_leave_their_parents_inverse_alone(new_cut):
+    # one parent basis, two children with different boxes, as branch and bound
+    # hands them out; without a new cut the children start on the parent's
+    # own inverse
+    m = box_model(c=(-1.0, -2.0))
+    add_cut(m, Cut(np.array([1.0, 1.0]), 2.5))
+    add_cut(m, Cut(np.array([-1.0, 2.0]), 3.5))
+    x = lp_solve(m).x
+    assert abs(x[0] - 0.5) <= 1e-12  # fractional: both children pivot
+    parent = m.basis
+    saved = parent.inverse.copy()
+    for lower, upper in (([-10.0, -10.0], [0.0, 10.0]), ([1.0, -10.0], [10.0, 10.0])):
+        m.lower, m.upper, m.basis = np.array(lower), np.array(upper), parent
+        if new_cut:
+            add_cut(m, Cut(np.array([1.0, -1.0]), 4.0 + len(m.cuts)))
+        sol = _assert_same_as_fresh(m)
+        assert sol.status == "optimal" and sol.pivots >= 1
+        assert np.array_equal(parent.inverse, saved)
+        assert m.basis.inverse is not parent.inverse
+
+
+def test_inverse_age_counts_across_solves_until_the_refactor():
+    # Kelley on the unit ball: each cut is tangent at the direction of the
+    # last LP point, so every solve pivots
+    rng = np.random.default_rng(5)
+    n = 4
+    m = LpModel(np.full(n, -2.0), np.full(n, 2.0), rng.uniform(-1.0, 1.0, size=n))
+    x = lp_solve(m).x
+    carried, reset = False, False
+    for _ in range(80):
+        assert add_cut(m, Cut(x / np.linalg.norm(x), 1.0))
+        before = m.basis.age
+        sol = lp_solve(m)
+        x = sol.x
+        after = m.basis.age
+        assert after < _REFACTOR_EVERY
+        if sol.pivots and after == before + sol.pivots:
+            carried |= before > 0
+        elif before + sol.pivots >= _REFACTOR_EVERY:
+            reset = True
+            assert after == before + sol.pivots - _REFACTOR_EVERY
+    assert carried and reset
