@@ -36,8 +36,13 @@ def _sha1(data: bytes) -> str:
 
 
 def _seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """The seeds of ``text``: ranges such as ``1-3`` and single seeds,
+    separated by commas."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
 
 
 def _signatures(root: Path, workloads, seeds, seconds: float) -> dict:
@@ -159,7 +164,7 @@ def compare(a: dict, b: dict) -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path)
-    ap.add_argument("--seeds", default="1-3", help="a seed or a range such as 1-3")
+    ap.add_argument("--seeds", default="1-3", help="seeds and ranges such as 1-3,7")
     ap.add_argument("--seconds", type=float, default=30.0, help="sets the items, as in run.py")
     ap.add_argument("--workloads", nargs="+", choices=WORKLOAD_NAMES, default=WORKLOAD_NAMES)
     ap.add_argument("--root", type=Path, default=ROOT, help="source checkout to run")

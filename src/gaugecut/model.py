@@ -374,8 +374,9 @@ def epsilon_relax(p: Problem, eps: float) -> Problem:
 
 def constraint_values(constraints: Sequence[Constraint], x) -> np.ndarray:
     """Stack ``g_j`` values: shape ``(J,)`` for one point, ``(J, N)`` for a
-    batch of points."""
-    return np.array([ex.eval_value(con.expr, x) for con in constraints])
+    batch of points.  One :func:`~gaugecut.expr.eval_value` call evaluates
+    the whole set, and raises the first constraint's error in order."""
+    return ex.eval_value([con.expr for con in constraints], x)
 
 
 def max_violation(constraints: Sequence[Constraint], x) -> tuple[float, int]:

@@ -4,9 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaugecut import EvalDomainError, ParseError, eval_grad, eval_value, load_problem, parse, render
-from gaugecut.expr import MAX_NESTING, Add, Const, Div, Func, Mul, Neg, Pow, Sub, Var, _postorder
-from helpers import random_psd_quadratic, reference_eval_grad, reference_eval_value
+from gaugecut import (
+    Constraint,
+    EvalDomainError,
+    ParseError,
+    eval_grad,
+    eval_value,
+    gauge_values,
+    load_problem,
+    parse,
+    render,
+)
+from gaugecut.expr import MAX_NESTING, Add, Const, Div, Func, Mul, Neg, Pow, Sub, Var, _postorder, _tape
+from helpers import make_ball_exp, random_psd_quadratic, reference_eval_grad, reference_eval_value
 
 XY = ("x", "y")
 
@@ -282,6 +292,14 @@ DOMAIN_FIXTURES = [
     ("0 ^ -1", (1.0, 2.0)),
     ("y + exp(1000)", (1.0, 2.0)),
     ("exp(x) ^ 400", (3.0, 0.0)),
+    # like terms of a sum (three or more run as one block): a later term fails
+    # at an earlier node of the shared shape (sqrt(y) at y = -1) than the
+    # first failing term (log(sqrt(x))), or a term after the first fails
+    ("log(sqrt(x)) + log(sqrt(y))", (0.0, -1.0)),
+    ("log(sqrt(x)) + log(sqrt(y)) + log(sqrt(x))", (0.0, -1.0)),
+    ("1 - sqrt(x) - sqrt(y) - sqrt(x)", (1.0, -1.0)),
+    ("x / y + y / x + x / x", (1.0, 0.0)),
+    ("exp(x) + exp(2 * y) + exp(3 * x) - 1", (300.0, 1.0)),
 ]
 
 
@@ -397,3 +415,136 @@ def test_batched_evaluation_holds_few_row_arrays():
         tracemalloc.stop()
     assert np.allclose(v[:5], [q.value(x) for x in X[:5]], rtol=1e-12, atol=1e-12)
     assert peak <= 8 * N * 8, f"peak {peak / (N * 8):.1f} row arrays"
+
+
+# ---------------------------------------------------------------------------
+# like-term blocks and constraint sets in one call
+# ---------------------------------------------------------------------------
+
+NAMES7 = tuple(f"x{i}" for i in range(7))
+BLOCK_ROWS = (1, 2, 63, 64, 65)  # both sides of the blocked tape's row limit
+
+
+def test_ball_exp_runs_twelve_blocked_instructions():
+    tapes = [_tape(con.expr) for con in make_ball_exp(7).constraints]
+    assert sum(len(t.plain) for t in tapes) == 58
+    assert sum(len(t.blocked) for t in tapes) == 12
+
+
+def _like_term(rng, kind, v):
+    i, j = (NAMES7[k] for k in rng.integers(0, 7, size=2))
+    a = round(float(rng.uniform(-1.5, 1.5)), 2)
+    s = round(float(rng.uniform(-0.5, 2.0)), 2)
+    return {
+        "pow": f"{i} ^ {v}",
+        "exp": f"exp({a} * {i})",
+        "log": f"log({i} + {s})",
+        "sqrt": f"sqrt({i})",
+        "div": f"{i} / {j}",
+        "mul": f"{i} * {j}",
+        "nest": f"sqrt({i} ^ 2 + {j} ^ 2 + {s})",
+        # a subtree without variables: numpy's scalar and array powers can
+        # differ in the last bit, so it must stay scalar
+        "scaled": f"{i} * {round(float(rng.uniform(0.5, 3.0)), 2)} ^ 1.5",
+    }[kind]
+
+
+def _like_term_sum(rng) -> str:
+    """A sum of runs of like terms, runs broken by a term of another shape
+    or by a change between ``+`` and ``-``."""
+    kinds = ("pow", "exp", "log", "sqrt", "div", "mul", "nest", "scaled")
+    source = ""
+    for _ in range(int(rng.integers(1, 5))):
+        kind = str(rng.choice(kinds))
+        v = float(rng.choice([2.0, 3.0, 0.5, -1.0, 1.5]))
+        op = str(rng.choice(["+", "-"]))
+        for _ in range(int(rng.integers(1, 6))):
+            term = _like_term(rng, kind, v)
+            source = term if not source else f"{source} {op} {term}"
+        if rng.random() < 0.3:
+            source += f" - {round(float(rng.uniform(0, 3)), 2)}"
+    return source
+
+
+def test_like_term_sums_match_reference():
+    rng = np.random.default_rng(17)
+    outcomes = {"value": 0, "error": 0}
+    for _ in range(150):
+        e = parse(_like_term_sum(rng), NAMES7)
+        for rows in BLOCK_ROWS:
+            lo = float(rng.choice([-0.3, 0.05]))  # domain errors at some rows, or none
+            X = rng.uniform(lo, 2.5, size=(rows, 7))
+            got, expect = _outcome(eval_value, e, X), _outcome(reference_eval_value, e, X)
+            assert got == expect, (render(e), rows)
+            outcomes["error" if got[0] == "error" else "value"] += 1
+        x = X[0]
+        assert _outcome(eval_value, e, x) == _outcome(reference_eval_value, e, x), render(e)
+        if _outcome(eval_value, e, x)[0] != "error":
+            try:
+                assert eval_grad(e, x).value.hex() == eval_value(e, x).hex(), render(e)
+            except EvalDomainError:
+                pass  # a derivative-only domain error
+    assert min(outcomes.values()) >= 100  # both outcomes are exercised
+    assert sum(len(_tape(e).blocked) < len(_tape(e).plain)
+               for e in (parse(_like_term_sum(rng), NAMES7) for _ in range(50))) >= 25
+
+
+def _looped(exprs, x):
+    return np.array([eval_value(e, x) for e in exprs])
+
+
+def test_sequence_is_the_stack_of_single_calls():
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        exprs = [parse(_like_term_sum(rng), NAMES7) for _ in range(int(rng.integers(1, 4)))]
+        for rows in BLOCK_ROWS:
+            X = rng.uniform(float(rng.choice([-0.3, 0.05])), 2.5, size=(rows, 7))
+            assert _outcome(eval_value, exprs, X) == _outcome(_looped, exprs, X)
+            assert _outcome(eval_value, exprs, X[0]) == _outcome(_looped, exprs, X[0])
+    exprs = [con.expr for con in make_ball_exp(7).constraints]
+    X = rng.uniform(-1.0, 1.0, size=(5, 7))
+    assert eval_value(exprs, X).shape == (2, 5)
+    assert eval_value(exprs, X[0]).shape == (2,)
+
+
+def test_sequence_raises_the_first_error_in_order():
+    # expression 0 overflows, expression 1 leaves its domain: the loop stops
+    # at expression 0
+    exprs = [parse("exp(x) + exp(y) + exp(x)", XY), parse("log(x) + log(y) + log(-y)", XY)]
+    for x in ((1000.0, 1.0), np.array([[0.0, 1.0], [1000.0, 1.0]])):
+        with pytest.raises(EvalDomainError, match="non-finite") as err:
+            eval_value(exprs, x)
+        assert err.value.subexpression == render(exprs[0])
+        assert _outcome(eval_value, exprs, x) == _outcome(_looped, exprs, x)
+    with pytest.raises(EvalDomainError, match="log of a non-positive") as err:
+        eval_value(exprs[::-1], (1000.0, 1.0))
+    assert err.value.subexpression == "log(-y)"
+
+
+@pytest.mark.parametrize("source", [
+    "x ^ -0.5 + y ^ -0.5 + (x + y) ^ -0.5",  # overflows to inf
+    "exp(-(x ^ -0.5)) + exp(-(y ^ -0.5)) + exp(-(x ^ -0.5))",  # finite all the same
+])
+def test_division_by_zero_warns_as_the_reference_does(source):
+    e = parse(source, XY)
+    X = np.array([[0.0, 1.0], [1.0, 1.0]])
+    for x in (X, X[0]):
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            got = _outcome(eval_value, e, x)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert got == _outcome(reference_eval_value, e, x)
+        with np.errstate(divide="ignore"):
+            assert _outcome(eval_value, e, x) == _outcome(reference_eval_value, e, x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda e, x: eval_value(e, x),
+    lambda e, x: eval_value([e], np.atleast_2d(x)),
+    lambda e, x: eval_grad(e, x),
+    lambda e, x: gauge_values([Constraint("c", e)], x, [np.ones(len(x))]),
+])
+def test_a_point_too_short_is_a_value_error(call):
+    e = parse("x^2 + y^2 - 1", XY)
+    with pytest.raises(ValueError, match="variable index 1, but the point has length 1"):
+        call(e, [0.5])
+    call(e, [0.5, 0.0, 7.0])  # a longer point is valid
