@@ -16,6 +16,7 @@ The second form prints, per workload, seed and metric, the median of the
 parent's and the change's runs, the interquartile range of the parent's runs,
 and the pairs the change won (ties count for neither side); then any runs
 that were not correct or failed operations, and any signatures that differ.
+It exits 1 if there are such runs or signatures, and 0 otherwise.
 Given one file, its two sides are compared; given two, the first side of the
 first file is the parent and the last side of the second is the change, run
 ``k`` of a workload and seed pairing with run ``k`` of the other.
@@ -117,8 +118,11 @@ def _by_key(runs: list[dict]) -> dict[tuple, dict]:
     return {(r["workload"], r["seed"], r["pair"]): r["result"] for r in runs}
 
 
-def compare(parent: list[dict], change: list[dict], signatures=(None, None)) -> list[str]:
-    """Report lines for the ``runs`` entries of the parent and the change."""
+def compare(parent: list[dict], change: list[dict],
+            signatures=(None, None)) -> tuple[list[str], bool]:
+    """Report lines for the ``runs`` entries of the parent and the change, and
+    whether every run was correct without failed operations and the
+    signatures, where both sides have them, are equal."""
     better = _directions()
     a, b = _by_key(parent), _by_key(change)
     lines = []
@@ -143,15 +147,18 @@ def compare(parent: list[dict], change: list[dict], signatures=(None, None)) -> 
                 f"{workload} seed {seed} {metric}: parent {statistics.median(pa):.4g}"
                 f" (IQR {q3 - q1:.3g}, {len(pa)} runs), change {statistics.median(pb):.4g}"
                 f" ({len(pb)} runs), change won {won} and lost {lost} of {len(pairs)} pairs")
+    clean = True
     for name, runs in (("parent", a), ("change", b)):
         for (workload, seed, k), r in sorted(runs.items()):
             if not r["correct"] or r["failed"]:
+                clean = False
                 lines.append(f"{name} {workload} seed {seed} run {k}: correct {r['correct']}, "
                              f"failed {r['failed']} of {r['attempted']}")
     if all(s is not None for s in signatures):
         differ = compare_signatures(*({"signatures": s} for s in signatures))
+        clean = clean and not differ
         lines += differ or ["all signatures equal"]
-    return lines
+    return lines, clean
 
 
 def _side(data: dict, side: int) -> tuple[list[dict], dict | None]:
@@ -177,8 +184,9 @@ def main(argv=None) -> int:
         if len(data) == 1 and len(data[0]["sides"]) != 2:
             ap.error("one file to compare must hold two sides")
         (pa, sa), (pb, sb) = _side(data[0], 0), _side(data[-1], -1)
-        print("\n".join(compare(pa, pb, (sa, sb))))
-        return 0
+        lines, clean = compare(pa, pb, (sa, sb))
+        print("\n".join(lines))
+        return 0 if clean else 1
     roots = [r.resolve() for r in (args.root or [ROOT])]
     if args.label is None or len(roots) > 2:
         ap.error("--label and at most two --root are required unless --compare is given")

@@ -20,13 +20,16 @@ constants, so a run of three or more of them is evaluated once on an
 ``(N, k)`` block of gathered columns and folded into the sum left to right,
 with the same additions in the same order.  The ball+exp constraints at
 n = 7 take 12 instructions instead of 58, and every value is the plain
-tape's, bit for bit.  Batches of more than 64 rows (``_BLOCKED_ROWS``) keep
-the plain tape: there the gathered copies cost more than the per-term numpy
-calls they save.  One :func:`eval_value` call evaluates a whole sequence of
-expressions, such as a constraint set; if any sweep fails, the expressions
-are evaluated again one at a time on the plain tape, so the error raised
-names the first failing expression and node, as one call per expression
-would.
+tape's, bit for bit.  A run is blocked only if each term holds at most one
+domain check (``/``, ``log``, ``sqrt``, a negative or fractional power) and
+that check is no negative fractional power, so a block fails exactly where
+one term at a time would, and emits no warning it would not.  Batches of
+more than 64 rows (``_BLOCKED_ROWS``) keep the plain tape: there the
+gathered copies cost more than the per-term numpy calls they save.  One
+:func:`eval_value` call evaluates a whole sequence of expressions, such as a
+constraint set, in one sweep, checking each as soon as it is computed, so
+the error raised names the first failing expression and node, as one call
+per expression would.
 
 Gradients are exact, by reverse-mode differentiation: the forward sweep also
 records the value of every node, and a reverse sweep carries the derivative
@@ -393,6 +396,7 @@ def render(e: Expr) -> str:
 # _FOLD appears only in blocked tapes.
 (_VAR, _CONST, _ADD, _SUB, _MUL, _DIV, _NEG, _POW, _POW_NEG, _POW_FRAC, _EXP, _LOG,
  _SQRT, _FOLD) = range(14)
+_CHECKED = (_DIV, _POW_NEG, _POW_FRAC, _LOG, _SQRT)  # the ops with a value domain check
 _FUNC_OPS = {"exp": _EXP, "log": _LOG, "sqrt": _SQRT}
 _BINARY_OPS = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 
@@ -519,10 +523,16 @@ def _blocked(code: list[tuple]) -> list[tuple]:
     vector where they differ, every other instruction runs on the ``(N, k)``
     block, and a ``_FOLD`` adds (or subtracts) the block's columns into the
     running sum left to right, the chain's own operations in its own order.
-    So every value is the plain tape's, bit for bit.  Domain errors name the
-    first term's nodes; callers redo a failing sweep on the plain tape.  Only
-    the forward sweep runs a blocked tape, so its ``kids`` are left empty;
-    without such runs it is ``code`` itself."""
+    So every value is the plain tape's, bit for bit.
+
+    A run is blocked only if each term holds at most one domain-checked
+    instruction (``_CHECKED``), none a fractional power with a negative
+    exponent: after that check passes, ``0 ^ -0.5`` still divides by zero.
+    Block instructions carry their terms' nodes, and :func:`_domain_check`
+    names the first term that fails: between terms only ``+``, ``-`` and
+    the fold run, so one term at a time fails there first.  Only the forward
+    sweep runs a blocked tape, so its ``kids`` are left empty; without such
+    runs it is ``code`` itself."""
     n = len(code)
     first = list(range(n))  # the first position of each instruction's subtree
     has_var = [op == _VAR for op, _, _, _ in code]
@@ -544,15 +554,19 @@ def _blocked(code: list[tuple]) -> list[tuple]:
                 keys.append((op, arg.hex() if op == _CONST else arg))  # -0.0 is not 0.0
         return tuple(keys)
 
+    def one_check(t: int) -> bool:
+        checks = [(op, arg) for op, arg, _, _ in code[first[t]:t + 1] if op in _CHECKED]
+        return len(checks) < 2 and not any(op == _POW_FRAC and arg < 0 for op, arg in checks)
+
     def block(terms: list[int], sub: bool, head: bool) -> list[tuple]:
         out = []
         for off in range(terms[0] - first[terms[0]] + 1):
-            op, arg, node, _ = code[first[terms[0]] + off]
+            op, arg, _, _ = code[first[terms[0]] + off]
             if op in (_VAR, _CONST):
                 args = [code[first[t] + off][1] for t in terms]
                 if op == _VAR or len({a.hex() for a in args}) > 1:
                     arg = np.array(args)
-            out.append((op, arg, node, ()))
+            out.append((op, arg, tuple(code[first[t] + off][2] for t in terms), ()))
         out.append((_FOLD, (np.subtract if sub else np.add, head), None, ()))
         return out
 
@@ -578,7 +592,7 @@ def _blocked(code: list[tuple]) -> list[tuple]:
             while (j < len(terms) and ops[j] == joins and sizes[j] == sizes[i]
                    and shape(terms[j]) == shape(terms[i])):
                 j += 1
-            if j - i >= _MIN_RUN and has_var[terms[i]]:
+            if j - i >= _MIN_RUN and has_var[terms[i]] and one_check(terms[i]):
                 # a chain around this one comes later, and its run wins
                 runs[first[terms[i]]] = (spine[j - 2], terms[i:j], joins == _SUB, i == 0)
             i = j
@@ -598,8 +612,13 @@ def _blocked(code: list[tuple]) -> list[tuple]:
     return out
 
 
-def _domain_check(ok, message: str, node: Expr) -> None:
+def _domain_check(ok, message: str, node) -> None:
+    """Raise unless ``ok`` holds on every row, naming ``node``.  A block's
+    ``node`` holds its terms' nodes, one per column of ``ok``: the first
+    term that fails on any row is named."""
     if not ok.all():
+        if isinstance(node, tuple):
+            node = node[int(np.argmin(np.atleast_2d(ok).all(axis=0)))]
         raise EvalDomainError(message, render(node))
 
 
@@ -716,18 +735,20 @@ def _check_width(width: int, n: int) -> None:
                          f"but the point has length {n}")
 
 
-def _stack(codes: list, X: np.ndarray, exprs: Sequence[Expr] | None = None) -> np.ndarray:
+def _stack(codes: list, X: np.ndarray, exprs: Sequence[Expr]) -> np.ndarray:
     """The forward sweeps of ``codes`` at the rows of ``X``, one row of the
-    result each.  Given ``exprs``, each row is checked as soon as it is
-    computed, and the first one that is not finite raises, naming its
-    expression."""
+    result each.  Each row is checked as soon as it is computed, so an
+    earlier expression's overflow comes before a later one's domain error:
+    the first row that is not finite raises, naming its expression.  One
+    sum checks a row; only when it is not finite, which finite values can
+    also give, are the values checked one by one."""
     out = None
     for j, code in enumerate(codes):
         v = _forward(code, X)
         if out is None:  # allocated once the first sweep's temporaries are gone
             out = np.empty((len(codes), X.shape[0]))
         out[j] = v
-        if exprs is not None and not np.isfinite(out[j]).all():
+        if not math.isfinite(out[j].sum()) and not np.isfinite(out[j]).all():
             raise EvalDomainError("evaluation overflowed to a non-finite value", render(exprs[j]))
     return np.empty((0, X.shape[0])) if out is None else out
 
@@ -746,9 +767,9 @@ def eval_value(e: Expr | Sequence[Expr], x) -> float | np.ndarray:
     line-search round, run the blocked tape, on which each run of like terms
     of a sum costs one numpy call per node of its term rather than one per
     term; larger batches, on which gathering the blocks costs more than it
-    saves, run the plain tape.  If that sweep raises or a value is not
-    finite, the expressions are evaluated again one at a time on the plain
-    tape, which raises today's error: the first failing expression and node.
+    saves, run the plain tape.  Either way the expressions are evaluated in
+    one sweep, which raises the error one call per expression would: the
+    first failing expression and node.
 
     A point too short for the largest variable index of an expression is a
     ``ValueError``, raised before anything is evaluated."""
@@ -766,16 +787,8 @@ def eval_value(e: Expr | Sequence[Expr], x) -> float | np.ndarray:
         tape = _tape(ej)
         _check_width(tape.width, X.shape[1])
         codes.append(tape.blocked if blocked else tape.plain)
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
-            out = _stack(codes, X)
-    except (EvalDomainError, FloatingPointError):
-        out = None
-    if out is not None and not math.isfinite(out.sum()):  # an overflowing sum also reads so
-        out = None
-    if out is None:  # after the failed sweep's arrays are released
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _stack([_tape(ej).plain for ej in exprs], X, exprs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _stack(codes, X, exprs)
     if one:
         return float(out[0, 0]) if single else out[0]
     return out[:, 0] if single else out

@@ -479,11 +479,6 @@ def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _feasible_witness(cons, cut: Cut, x, tol: float) -> bool:
-    f, _ = max_violation(cons, x)
-    return f <= tol and abs(cut.violation(x)) <= tol
-
-
 def check_supporting(
     constraints,
     cut: Cut,
@@ -585,7 +580,8 @@ def check_supporting(
             model.lower, model.upper = x0 - half, x0 + half
 
     gap = math.inf if best_x is None else cut.beta - best_val
-    if best_x is not None and _feasible_witness(cons, cut, best_x, tol):
+    # consider keeps only points with max_j g_j <= tol
+    if best_x is not None and abs(cut.violation(best_x)) <= tol:
         return SupportVerdict(True, best_x, gap)
     return SupportVerdict(False, None, gap)
 

@@ -91,6 +91,20 @@ def test_solve_epsilon_relax_flag(capsys, tmp_path):
     assert "status=optimal_eps" in out
 
 
+def test_solve_with_huge_bounds_ends_in_a_numeric_error(capsys, tmp_path):
+    # the line search evaluates batches of points whose values are finite but
+    # add up past the float range: no RuntimeWarning escapes, and the run
+    # ends in exit code 3
+    d = circle_dict()
+    for v in d["variables"]:
+        v["lb"], v["ub"] = -1e160, 1e160
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d))
+    code, _, err = run(capsys, "solve", "--algorithm", "esh", str(path))
+    assert code == 3
+    assert "line search" in err
+
+
 def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

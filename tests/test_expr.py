@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,22 @@ from gaugecut import (
     parse,
     render,
 )
-from gaugecut.expr import MAX_NESTING, Add, Const, Div, Func, Mul, Neg, Pow, Sub, Var, _postorder, _tape
+from gaugecut.expr import (
+    _CHECKED,
+    _POW_FRAC,
+    MAX_NESTING,
+    Add,
+    Const,
+    Div,
+    Func,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    _postorder,
+    _tape,
+)
 from helpers import make_ball_exp, random_psd_quadratic, reference_eval_grad, reference_eval_value
 
 XY = ("x", "y")
@@ -431,6 +447,52 @@ def test_ball_exp_runs_twelve_blocked_instructions():
     assert sum(len(t.blocked) for t in tapes) == 12
 
 
+def _blocks(code) -> list[list[tuple]]:
+    """The ``(op, arg)`` of each block's instructions in a blocked tape: a
+    block instruction names one node per term, and its fold closes it."""
+    blocks, block = [], []
+    for op, arg, node, _ in code:
+        if isinstance(node, tuple):
+            block.append((op, arg))
+        elif block:
+            blocks.append(block)
+            block = []
+    return blocks
+
+
+def _sum7(term: str, op: str = "+") -> str:
+    return f" {op} ".join(term.format(v) for v in NAMES7)
+
+
+def test_runs_with_one_domain_check_per_term_stay_blocked():
+    log_sum = _tape(parse("1 - " + _sum7("log({} + 1)", "-"), NAMES7))
+    assert (len(log_sum.plain), len(log_sum.blocked)) == (36, 6)
+    entropy = _tape(parse(_sum7("{0} * log({0})"), NAMES7))
+    assert (len(entropy.plain), len(entropy.blocked)) == (34, 5)
+
+
+@pytest.mark.parametrize("term", [
+    "{} ^ -0.5",  # 0 ^ -0.5 divides by zero after its check passes
+    "log(sqrt({}))",  # two checks: a later term may fail at the earlier one
+])
+def test_runs_a_block_could_misreport_stay_unblocked(term):
+    tape = _tape(parse(_sum7(term), NAMES7))
+    assert tape.blocked is tape.plain
+
+
+def test_a_block_names_the_first_term_that_fails_on_any_row():
+    e = parse("log(x + 1) + log(y + 1) + log(x + 0.5)", XY)
+    assert (len(_tape(e).plain), len(_tape(e).blocked)) == (14, 5)
+    # row (-0.7, 1) fails in the third term, row (1, -2) in the second
+    for X in ([[-0.7, 1.0], [1.0, -2.0]], [[1.0, -2.0], [-0.7, 1.0]]):
+        with pytest.raises(EvalDomainError, match="log of a non-positive") as err:
+            eval_value(e, X)
+        assert err.value.subexpression == "log(y + 1.0)"
+        assert _outcome(eval_value, e, X) == _outcome(reference_eval_value, e, X)
+        for x in X:
+            assert _outcome(eval_value, e, x) == _outcome(reference_eval_value, e, x)
+
+
 def _like_term(rng, kind, v):
     i, j = (NAMES7[k] for k in rng.integers(0, 7, size=2))
     a = round(float(rng.uniform(-1.5, 1.5)), 2)
@@ -489,6 +551,23 @@ def test_like_term_sums_match_reference():
                for e in (parse(_like_term_sum(rng), NAMES7) for _ in range(50))) >= 25
 
 
+def test_every_block_holds_at_most_one_check_and_no_negative_fractional_power():
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(100):
+        source = _like_term_sum(rng)
+        for src in (source, source.replace("^ 0.5", "^ -0.5").replace("^ 1.5", "^ -1.5")):
+            e = parse(src, NAMES7)
+            for block in _blocks(_tape(e).blocked):
+                checks = [(op, arg) for op, arg in block if op in _CHECKED]
+                assert len(checks) <= 1, src
+                assert not any(op == _POW_FRAC and arg < 0 for op, arg in checks), src
+                checked += len(checks)
+            X = rng.uniform(float(rng.choice([-0.3, 0.05])), 2.5, size=(3, 7))
+            assert _outcome(eval_value, e, X) == _outcome(reference_eval_value, e, X), src
+    assert checked >= 50  # blocks with a check are exercised
+
+
 def _looped(exprs, x):
     return np.array([eval_value(e, x) for e in exprs])
 
@@ -521,9 +600,19 @@ def test_sequence_raises_the_first_error_in_order():
     assert err.value.subexpression == "log(-y)"
 
 
+def test_finite_values_whose_sum_overflows_raise_no_warning():
+    e = parse("x", ("x",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_value(e, [[1e308], [1e308]]).tolist() == [1e308, 1e308]
+        assert eval_value([e, e], [[1e308], [1e308]]).tolist() == [[1e308, 1e308]] * 2
+        assert eval_value([e, e], [1e308]).tolist() == [1e308, 1e308]
+
+
 @pytest.mark.parametrize("source", [
     "x ^ -0.5 + y ^ -0.5 + (x + y) ^ -0.5",  # overflows to inf
     "exp(-(x ^ -0.5)) + exp(-(y ^ -0.5)) + exp(-(x ^ -0.5))",  # finite all the same
+    "x ^ -0.5 + y ^ -0.5 + x ^ -0.5",  # like terms, left unblocked
 ])
 def test_division_by_zero_warns_as_the_reference_does(source):
     e = parse(source, XY)
