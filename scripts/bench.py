@@ -6,17 +6,20 @@
 
 The first form runs ``perfbench/run.py --trace 0`` of each checkout (``--root``,
 default this one) once per workload, seed and repeat, and keeps the JSON line
-each run prints last.  Given two checkouts it runs them in pairs, the first
-``--root`` as the parent and the second as the change, and alternates which
-side runs first from one pair to the next.  The file also records the
+each run prints last; a run that exits non-zero or whose last line is not
+JSON is kept as its exit code and the tail of its stderr, and so is a
+checkout whose signatures could not be written.  Given two checkouts it
+runs them in pairs, the first ``--root`` as the parent and the second as the
+change, and alternates which side runs first from one pair to the next.  The file also records the
 environment (Python, numpy, core count and each checkout's ``git rev-parse
 HEAD``) and each checkout's result signatures from ``bench_signatures.py``.
 
 The second form prints, per workload, seed and metric, the median of the
 parent's and the change's runs, the interquartile range of the parent's runs,
 and the pairs the change won (ties count for neither side); then any runs
-that were not correct or failed operations, and any signatures that differ.
-It exits 1 if there are such runs or signatures, and 0 otherwise.
+that failed, were not correct or failed operations, and any signatures that
+are missing through a failure or differ.  It exits 1 if there are such runs
+or signatures, and 0 otherwise.
 Given one file, its two sides are compared; given two, the first side of the
 first file is the parent and the last side of the second is the change, run
 ``k`` of a workload and seed pairing with run ``k`` of the other.
@@ -44,23 +47,37 @@ sys.path.insert(0, str(HERE))
 from bench_signatures import WORKLOAD_NAMES, _commit, _seeds  # noqa: E402
 from bench_signatures import compare as compare_signatures  # noqa: E402
 
+_STDERR_TAIL = 2000  # characters of a failed run's stderr that are kept
+
+
+def _failure(done: subprocess.CompletedProcess) -> dict:
+    return {"exit_code": done.returncode, "stderr": done.stderr[-_STDERR_TAIL:]}
+
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON line ``run.py`` of ``root`` prints last, run from ``root``."""
+    """The JSON line ``run.py`` of ``root`` prints last, run from ``root``, or
+    for a failed run its :func:`_failure`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    try:
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    return result if done.returncode == 0 and isinstance(result, dict) else _failure(done)
 
 
 def _signatures(root: Path, workloads, seeds: str, seconds: float) -> dict:
     """Item and grid hashes of ``root`` from ``bench_signatures.py``, without
-    the raw signatures."""
+    the raw signatures, or the :func:`_failure` of that script."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sig.json"
-        subprocess.run([sys.executable, str(HERE / "bench_signatures.py"), "--out", str(out),
-                        "--root", str(root), "--seeds", seeds, "--seconds", str(seconds),
-                        "--workloads", *workloads], check=True)
+        done = subprocess.run([sys.executable, str(HERE / "bench_signatures.py"), "--out",
+                               str(out), "--root", str(root), "--seeds", seeds, "--seconds",
+                               str(seconds), "--workloads", *workloads],
+                              capture_output=True, text=True)
+        if done.returncode:
+            return _failure(done)
         sig = json.loads(out.read_text())["signatures"]
     return {w: {s: {k: v for k, v in r.items() if k != "raw"} for s, r in by_seed.items()}
             for w, by_seed in sig.items()}
@@ -88,9 +105,9 @@ def record(roots: list[Path], workloads, seeds: str, repeat: int, seconds: float
                     result = _run(roots[side], workload, seed, seconds)
                     runs.append({"side": side, "workload": workload, "seed": seed, "pair": k,
                                  "position": position, "result": result})
-                    print(f"{workload} seed {seed} run {k} side {side}: "
-                          f"item_cost {result['metrics']['item_cost']['value']:.4g}",
-                          file=sys.stderr)
+                    shown = (f"item_cost {result['metrics']['item_cost']['value']:.4g}"
+                             if "metrics" in result else f"exit code {result['exit_code']}")
+                    print(f"{workload} seed {seed} run {k} side {side}: {shown}", file=sys.stderr)
     sides = [{"commit": _commit(r), "dirty": _dirty(r),
               "signatures": _signatures(r, workloads, seeds, seconds)} for r in roots]
     env = {"python": platform.python_version(), "numpy": np.__version__,
@@ -118,13 +135,21 @@ def _by_key(runs: list[dict]) -> dict[tuple, dict]:
     return {(r["workload"], r["seed"], r["pair"]): r["result"] for r in runs}
 
 
+def _describe_failure(result: dict) -> str:
+    """A failure's exit code and the last line of its stderr."""
+    tail = result["stderr"].strip().splitlines()[-1:]
+    return f"exit code {result['exit_code']}, stderr ends {tail[0] if tail else ''!r}"
+
+
 def compare(parent: list[dict], change: list[dict],
             signatures=(None, None)) -> tuple[list[str], bool]:
     """Report lines for the ``runs`` entries of the parent and the change, and
-    whether every run was correct without failed operations and the
-    signatures, where both sides have them, are equal."""
+    whether every run ended with a correct result without failed operations,
+    no side's signatures failed, and the signatures, where both sides have
+    them, are equal."""
     better = _directions()
-    a, b = _by_key(parent), _by_key(change)
+    runs = {"parent": _by_key(parent), "change": _by_key(change)}
+    a, b = ({k: r for k, r in side.items() if "metrics" in r} for side in runs.values())
     lines = []
     groups = sorted({k[:2] for k in a} | {k[:2] for k in b},
                     key=lambda g: (WORKLOAD_NAMES.index(g[0]) if g[0] in WORKLOAD_NAMES else 99, g))
@@ -148,13 +173,20 @@ def compare(parent: list[dict], change: list[dict],
                 f" (IQR {q3 - q1:.3g}, {len(pa)} runs), change {statistics.median(pb):.4g}"
                 f" ({len(pb)} runs), change won {won} and lost {lost} of {len(pairs)} pairs")
     clean = True
-    for name, runs in (("parent", a), ("change", b)):
-        for (workload, seed, k), r in sorted(runs.items()):
-            if not r["correct"] or r["failed"]:
+    for name, side in runs.items():
+        for (workload, seed, k), r in sorted(side.items()):
+            if "metrics" not in r:
+                clean = False
+                lines.append(f"{name} {workload} seed {seed} run {k}: {_describe_failure(r)}")
+            elif not r["correct"] or r["failed"]:
                 clean = False
                 lines.append(f"{name} {workload} seed {seed} run {k}: correct {r['correct']}, "
                              f"failed {r['failed']} of {r['attempted']}")
-    if all(s is not None for s in signatures):
+    for name, s in zip(("parent", "change"), signatures):
+        if s is not None and "exit_code" in s:
+            clean = False
+            lines.append(f"{name} signatures: {_describe_failure(s)}")
+    if all(s is not None and "exit_code" not in s for s in signatures):
         differ = compare_signatures(*({"signatures": s} for s in signatures))
         clean = clean and not differ
         lines += differ or ["all signatures equal"]

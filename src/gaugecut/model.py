@@ -403,20 +403,24 @@ def find_interior_point(p: Problem, start=None, max_steps: int = 500) -> np.ndar
     if np.any(x < p.lower) or np.any(x > p.upper):
         raise ValueError("start must lie within the variable bounds")
     f, j = max_violation(p.constraints, x)
+    if f < 0.0:
+        return x
     best = f
-    step0 = max(1.0, 0.1 * float(np.linalg.norm(p.upper - p.lower)))
+    # hypot scales where the sum of squares overflows; clipping ends a longer step
+    with np.errstate(over="ignore"):
+        span = p.upper - p.lower
+        width = float(np.linalg.norm(span))
+    step0 = max(1.0, 0.1 * (width if width < math.inf else min(math.hypot(*span), 1e308)))
     for k in range(max_steps):
-        if f < 0.0:
-            return x
         grad = ex.eval_grad(p.constraints[j].expr, x).gradient
         norm = float(np.linalg.norm(grad))
         if norm == 0.0:
             break  # flat attaining constraint: no descent direction
         x = np.clip(x - (step0 / math.sqrt(k + 1.0)) * grad / norm, p.lower, p.upper)
         f, j = max_violation(p.constraints, x)
+        if f < 0.0:
+            return x
         best = min(best, f)
-    if f < 0.0:
-        return x
     raise InteriorPointError(
         f"no strict interior point found within {max_steps} steps "
         f"(best max-constraint value {best:.3e}); relax the constraints with "

@@ -170,11 +170,11 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
     preconditions, so it also handles non-convex constraint functions whose
     restriction to the segment is not monotone.  One evaluation of 63
     points covers six halvings, which are then taken on Python floats, and
-    the result is the one a halving at a time gives.  The preconditions are
-    checked in one evaluation of two points: ``x0`` and the search's first
-    bracket end ``x0 + 1.0 * (xbar - x0)``, which is ``xbar`` up to
-    rounding.  A point outside the constraints' domain counts as
-    infeasible, so such an ``x0`` is not strictly interior.
+    the result is the one a halving at a time gives.  The kernel checks
+    ``x0`` in its first evaluation, of ``x0`` and the first bracket end ``x0
+    + 1.0 * (xbar - x0)``, which is ``xbar`` up to rounding.  The crossing
+    stays below ``t = 1`` exactly when that end is infeasible, so the
+    crossing also tells whether ``xbar`` is.
     """
     cons = as_constraints(constraints)
     if cfg is None:
@@ -182,23 +182,19 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
     x0 = np.asarray(x0, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
     D = (xbar - x0)[None, :]
-    f0, f1 = _fmax_rows(cons, np.vstack((x0, x0 + 1.0 * D)))
-    if f0 >= 0.0:
-        raise PreconditionError(
-            f"interior point is not strictly interior (max_j g_j = {f0:.6g})"
-        )
-    if f1 <= 0.0:
+    t_star, ok = _boundary_crossings(cons, x0, D, tol=cfg.line_search_tol, settle=True)
+    if t_star[0] >= 1.0:  # t_lo leaves [0, 1) only by doubling past a feasible first end
+        f1 = _fmax_rows(cons, x0 + 1.0 * D)[0]
         raise PreconditionError(
             f"point to separate is feasible (max_j g_j = {f1:.6g})"
         )
-    t_star, ok = _boundary_crossings(
-        cons, x0, D, tol=cfg.line_search_tol, settle=True, f_one=np.array([f1])
-    )
     if not ok[0]:
         raise SeparationError(
-            f"line search did not reach |max_j g_j| <= {BOUNDARY_TOL:g} within "
-            f"{_BISECTIONS} bisections; the interior point may lie on the "
-            "boundary within tolerance"
+            f"line search did not reach |max_j g_j| <= {BOUNDARY_TOL:g} within {_BISECTIONS} "
+            "bisections: either the crossing lies within "
+            f"{2.0 ** -_BISECTIONS / cfg.line_search_tol:.2g} of the segment's length from the "
+            "interior point (the interior point lies on the boundary within tolerance, or the "
+            "point to separate lies that far outside), or max_j g_j is too steep there to settle"
         )
     lo = float(t_star[0])
     xhat = x0 + lo * (xbar - x0)
@@ -293,19 +289,6 @@ def gauge_separator(constraints, x0, cfg: SolverConfig | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _strict_interior(cons: Sequence[Constraint], x0) -> np.ndarray:
-    """``x0`` as an array, once ``max_j g_j(x0) < 0``; as in
-    :func:`line_search_boundary`, a point outside some ``g_j``'s domain is
-    not strictly interior."""
-    x0 = np.asarray(x0, dtype=float)
-    f0 = _fmax_rows(cons, x0[None, :])[0]
-    if f0 >= 0.0:
-        raise PreconditionError(
-            f"interior point is not strictly interior (max_j g_j = {f0:.6g})"
-        )
-    return x0
-
-
 def _fmax_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
     """``max_j g_j`` at each row of ``P``; a row outside some ``g_j``'s
     domain is outside ``C`` and reads ``+inf``.  A batch that raised is
@@ -326,28 +309,38 @@ def _boundary_crossings(
     D: np.ndarray,
     tol: float = 1e-13,
     settle: bool = False,
-    f_one: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``D``: the parameter ``t* > 0`` where ``max_j g_j(x0 + t d)``
     crosses zero, taken on the feasible side, bisected to a bracket width of
     at most ``tol * t_hi``.  ``settle`` also bisects on until ``max_j g_j >=
     -BOUNDARY_TOL`` at ``t*`` (grids leave it off: there it costs time and
-    leaves steep rays open).  ``f_one`` holds ``max_j g_j`` at the first
-    bracket ends ``x0 + 1.0 * d`` when the caller has already evaluated them.
-    Rows whose ray never leaves the set within the doubling budget, or still
-    open after ``_BISECTIONS`` halvings, get ``ok = False`` and a meaningless
-    ``t*``.
+    leaves steep rays open).  Rows whose ray never leaves the set within the
+    doubling budget, or still open after ``_BISECTIONS`` halvings, get ``ok
+    = False`` and a meaningless ``t*``.
 
-    The doubling steps evaluate one point per open row.  The bisection (see
+    The first evaluation takes the first bracket ends ``x0 + 1.0 * d`` and
+    then ``x0``, which must be strictly interior: ``max_j g_j(x0) < 0``, else
+    :class:`PreconditionError`.  With no rows it checks ``x0`` alone.  The
+    doubling steps evaluate one point per open row.  The bisection (see
     :func:`_bisect`) halves every open row once per evaluation while 22 or
     more rows are open and several times per evaluation below that, and
-    returns exactly what halving one midpoint per evaluation would."""
+    returns exactly what halving one midpoint per evaluation would: each
+    ``t*`` with ``ok`` is one it evaluated, as the point ``t* * d + x0``."""
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = np.ones(k)
     Dt = np.ascontiguousarray(D.T)  # Dt[:, r] is row r's direction
-    f_hi = _fmax_rows(cons, _ray_points(x0, t_hi, Dt)) if f_one is None else f_one
-    need = f_hi <= 0.0
+    # the first ends in the layout of _ray_points (1.0 * d is d), then x0
+    P = np.empty((x0.size, k + 1))
+    np.add(Dt, x0[:, None], out=P[:, :k])
+    P[:, k] = x0
+    f_hi = _fmax_rows(cons, P.T)
+    del P  # as large as a grid: not kept through the doublings
+    if f_hi[k] >= 0.0:
+        raise PreconditionError(
+            f"interior point is not strictly interior (max_j g_j = {f_hi[k]:.6g})"
+        )
+    need = f_hi[:k] <= 0.0
     for _ in range(_DOUBLINGS):
         if not np.any(need):
             break
@@ -455,16 +448,15 @@ def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(phi, ok)``; rows with ``ok == False`` could not bracket a
     boundary crossing (the ray stays feasible forever, e.g. along a recession
     direction) and their ``phi`` is meaningless.  Points outside the
-    constraints' domain lie outside the set: their ``phi`` exceeds 1.
+    constraints' domain lie outside the set: their ``phi`` exceeds 1.  The
+    kernel checks ``x0``, also when every point equals it.
     """
     cons = as_constraints(constraints)
-    x0 = _strict_interior(cons, x0)
+    x0 = np.asarray(x0, dtype=float)
     X = np.atleast_2d(np.asarray(points, dtype=float))
     phi = np.zeros(X.shape[0])
     ok = np.ones(X.shape[0], dtype=bool)
     nonzero = np.nonzero(np.any(X != x0, axis=1))[0]
-    if nonzero.size == 0:
-        return phi, ok
     # the directions are built in the (n, k) layout the kernel reads, so it
     # needs no copy of its own
     Dt = np.subtract(X[nonzero].T, x0[:, None], order="C")
@@ -499,9 +491,10 @@ def check_supporting(
     an infeasible maximizer is pulled back to the boundary by line search,
     which adds its supporting cuts to the LP.  Each LP value ``U`` bounds
     ``sigma_C`` from above within the box; each feasible maximizer or
-    boundary point ``x`` gives ``L = alpha^T x`` from below.  The verdict is
-    ``True``, with that point as witness, once ``L >= beta - tol``.  Once
-    ``U - L <= tol``:
+    boundary point ``x`` gives ``L = alpha^T x`` from below (only the
+    generation point, which can be any point, is evaluated for feasibility).
+    The verdict is ``True``, with that point as witness, once ``L >= beta -
+    tol``.  Once ``U - L <= tol``:
 
     * a maximizer off every box face is optimal without the box, so
       ``sigma_C <= U < beta`` and ``False`` is proven;
@@ -525,18 +518,17 @@ def check_supporting(
     best_x: np.ndarray | None = None
     best_val = -math.inf
 
-    def consider(x: np.ndarray) -> None:
+    def consider(x: np.ndarray) -> None:  # x lies in C within tol
         nonlocal best_x, best_val
-        f, _ = max_violation(cons, x)
         v = float(cut.alpha @ x)
-        if f <= tol and v > best_val:
+        if v > best_val:
             best_val = v
             best_x = x
 
-    if cut.point is not None:
+    if cut.point is not None and max_violation(cons, cut.point)[0] <= tol:
         consider(cut.point)
-        if best_x is not None and abs(cut.violation(best_x)) <= tol:
-            return SupportVerdict(True, best_x, cut.beta - best_val)
+        if abs(cut.violation(cut.point)) <= tol:
+            return SupportVerdict(True, cut.point, cut.beta - best_val)
 
     if probe_segment is not None:
         inside, outside = probe_segment
@@ -550,7 +542,8 @@ def check_supporting(
             "check_supporting needs interior_point when given bare constraints"
         )
     else:
-        x0 = _strict_interior(cons, interior_point)
+        x0 = np.asarray(interior_point, dtype=float)
+        _boundary_crossings(cons, x0, np.empty((0, x0.size)))  # checks x0 alone
         half = np.ones(x0.size)
 
     if ascent_iters > 0 and best_val < cut.beta - tol:
@@ -580,7 +573,7 @@ def check_supporting(
             model.lower, model.upper = x0 - half, x0 + half
 
     gap = math.inf if best_x is None else cut.beta - best_val
-    # consider keeps only points with max_j g_j <= tol
+    # every point consider kept lies in C within tol
     if best_x is not None and abs(cut.violation(best_x)) <= tol:
         return SupportVerdict(True, best_x, gap)
     return SupportVerdict(False, None, gap)

@@ -79,3 +79,40 @@ def test_compare_exits_1_only_on_a_bad_run_or_differing_signatures(tmp_path):
     sides[1]["signatures"] = _signatures(["x", "z"])
     assert _compare(_write(tmp_path / "BENCH_differ.json", sides, runs), code=1)[-1] == (
         "esh-solve seed 1: items [1] differ")
+
+
+def test_compare_lists_a_run_that_ended_without_a_result(tmp_path):
+    change = [_result(4.1), {"exit_code": 1, "stderr": "Traceback\nRuntimeError: boom\n"}]
+    sides = [{"commit": "a", "signatures": None}, {"commit": "b", "signatures": None}]
+    path = _write(tmp_path / "BENCH_failed.json", sides,
+                  _runs(0, 1, [_result(4.0), _result(4.2)]) + _runs(1, 1, change))
+    lines = _compare(path, code=1)
+    assert lines[0] == ("esh-solve seed 1 item_cost: parent 4.1 (IQR 0.1, 2 runs), "
+                        "change 4.1 (1 runs), change won 0 and lost 1 of 1 pairs")
+    assert lines[-1] == (
+        "change esh-solve seed 1 run 1: exit code 1, stderr ends 'RuntimeError: boom'")
+
+
+def test_record_keeps_failed_runs(tmp_path):
+    # two stand-in checkouts: one whose run.py exits 1, one whose last line
+    # is not JSON; neither can write signatures
+    roots = []
+    for name, body in (("exits", 'sys.stderr.write("boom\\n")\nsys.exit(1)\n'),
+                       ("prints", 'print("no json here")\n')):
+        run_py = tmp_path / name / "perfbench" / "run.py"
+        run_py.parent.mkdir(parents=True)
+        run_py.write_text("import sys\n" + body)
+        roots.append(run_py.parent.parent)
+    done = subprocess.run([sys.executable, str(SCRIPT), "--label", "failed",
+                           "--root", str(roots[0]), "--root", str(roots[1]),
+                           "--workloads", "esh-solve", "--seeds", "1", "--seconds", "1"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    data = json.loads((tmp_path / "BENCH_failed.json").read_text())
+    assert [(r["side"], r["result"]["exit_code"]) for r in data["runs"]] == [(0, 1), (1, 0)]
+    assert data["runs"][0]["result"]["stderr"] == "boom\n"
+    assert all(side["signatures"]["exit_code"] == 1 for side in data["sides"])
+    lines = _compare(tmp_path / "BENCH_failed.json", code=1)
+    assert lines[:2] == ["parent esh-solve seed 1 run 0: exit code 1, stderr ends 'boom'",
+                         "change esh-solve seed 1 run 0: exit code 0, stderr ends ''"]
+    assert [line.split(":")[0] for line in lines[2:]] == ["parent signatures", "change signatures"]

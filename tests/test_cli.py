@@ -105,6 +105,35 @@ def test_solve_with_huge_bounds_ends_in_a_numeric_error(capsys, tmp_path):
     assert "line search" in err
 
 
+def test_solve_with_huge_bounds_and_no_interior_point(capsys, tmp_path):
+    # the interior point search starts at the box's midpoint, already interior
+    d = circle_dict(interior=False)
+    for v in d["variables"]:
+        v["lb"], v["ub"] = -1e160, 1e160
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d))
+    code, _, err = run(capsys, "solve", "--algorithm", "esh", str(path))
+    assert code == 3
+    assert "line search" in err
+
+
+def test_line_search_error_names_both_causes(capsys, tmp_path):
+    # g(0) = -1, but the crossing x = 1 sits at t = 1e-160 of the segment
+    # from 0 to the LP point 1e160
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "variables": [{"name": "x", "lb": -1e160, "ub": 1e160, "integer": False}],
+        "objective": [-1.0],
+        "constraints": [{"name": "g", "expr": "x - 1"}],
+        "interior_point": [0.0],
+    }))
+    code, _, err = run(capsys, "solve", "--algorithm", "esh", str(path))
+    assert code == 3
+    assert "the crossing lies within 7.9e-22 of the segment's length" in err
+    assert "the point to separate lies that far outside" in err
+    assert "too steep there to settle" in err
+
+
 def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

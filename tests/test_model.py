@@ -165,6 +165,20 @@ def test_find_interior_point_returns_interior_start_unchanged():
     assert np.array_equal(x0, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("bound", [1e160, 1e308])
+def test_find_interior_point_on_a_box_whose_diameter_overflows(bound):
+    # ||upper - lower||^2 overflows, and at 1e308 so does upper - lower
+    d = circle_dict(interior=False)
+    for v in d["variables"]:
+        v["lb"], v["ub"] = -bound, bound
+    x0 = find_interior_point(load_problem(json.dumps(d)))  # the midpoint is interior
+    assert np.array_equal(x0, [0.0, 0.0])
+    d["constraints"] = [{"name": "right", "expr": "1 - x"}]  # one step from the midpoint
+    p = load_problem(json.dumps(d))
+    x0 = find_interior_point(p)
+    assert max_violation(p.constraints, x0)[0] < 0.0 and np.all(np.abs(x0) <= bound)
+
+
 def test_find_interior_point_fails_on_thin_set():
     thin = make_thin()
     with pytest.raises(InteriorPointError, match="epsilon_relax"):

@@ -113,12 +113,16 @@ def test_line_search_preconditions():
         line_search_boundary(cons, [2.0, 2.0], [3.0, 3.0])
     with pytest.raises(PreconditionError, match="feasible"):
         line_search_boundary(cons, ORIGIN, [0.5, 0.5])
+    # the ray from (5, 5) through (6, 6) never leaves {xy >= e}
+    with pytest.raises(PreconditionError, match=r"point to separate is feasible \(max_j g_j = -"):
+        line_search_boundary(make_log().constraints, [5.0, 5.0], [6.0, 6.0])
 
 
 _E_ROOT = math.exp(0.5)  # (e^(1/2), e^(1/2)) lies on the boundary xy = e of the log set
 _OFF_DOMAIN_CALLS = {
     "line_search_boundary": lambda cons, x0: line_search_boundary(cons, x0, [1.0, 1.0]),
     "gauge_values": lambda cons, x0: gauge_values(cons, x0, [[3.0, 3.0]]),
+    "gauge_values_at_x0": lambda cons, x0: gauge_values(cons, x0, [x0]),
     "gauge_subgradient_check": lambda cons, x0: gauge_subgradient_check(
         cons, x0, Cut(np.ones(2), 2.0 * _E_ROOT, point=np.full(2, _E_ROOT)), [[3.0, 3.0]]),
     "check_supporting": lambda cons, x0: check_supporting(
@@ -160,6 +164,56 @@ def test_line_search_evaluation_budget(monkeypatch):
     assert len(calls) <= 7
     assert calls[0] == 2 and max(calls) == 63
     assert gr.lambda_star.hex() == "0x1.e2b7dddc00000p-2"
+
+
+def _count_evaluations(monkeypatch, name):
+    """The batches ``separation.<name>`` evaluates from now on, with the
+    kernel's test-mode reference check, which evaluates on its own, off."""
+    batches = []
+    fn = getattr(separation, name)
+
+    def counted(cons, x):
+        batches.append(np.atleast_2d(x).copy())
+        return fn(cons, x)
+
+    monkeypatch.setattr(separation, "_boundary_crossings", _boundary_crossings)
+    monkeypatch.setattr(separation, name, counted)
+    return batches
+
+
+def test_gauge_values_checks_x0_in_the_first_evaluation(monkeypatch):
+    p = make_circle()
+    x0 = np.array([0.25, -0.5])
+    points = np.array([[1.5, 1.5], [0.0, 0.1], [-3.0, 2.0]])
+    batches = _count_evaluations(monkeypatch, "constraint_values")
+    phi, ok = gauge_values(p.constraints, x0, points)
+    # the first ends x0 + 1.0 * d, then x0 as one more row
+    first = batches[0]
+    assert first.shape == (4, 2)
+    assert np.array_equal(first[:3], (points - x0) + x0) and np.array_equal(first[3], x0)
+    assert ok.all() and np.all((phi > 1.0) == [True, False, True])
+
+    batches.clear()
+    phi, ok = gauge_values(p.constraints, x0, [x0, x0])
+    assert [b.tolist() for b in batches] == [[x0.tolist()]]
+    assert phi.tolist() == [0.0, 0.0] and ok.all()
+
+
+def test_check_supporting_evaluates_only_the_cut_point(monkeypatch):
+    cons = make_circle().constraints
+    cut = kelley_cut(CIRCLE, [1.5, 1.5])  # valid, does not touch the disk
+    batches = _count_evaluations(monkeypatch, "max_violation")
+    verdict = check_supporting(cons, cut, interior_point=ORIGIN)
+    assert not verdict.supporting
+    assert abs(verdict.max_violation_gap - (11.0 / 6.0 - SQRT2)) <= 1e-6
+    assert [b.tolist() for b in batches] == [[[1.5, 1.5]]]
+
+
+def test_every_line_search_round_runs_on_the_blocked_tape():
+    # a narrow round evaluates up to _ROUND_POINTS - 1 midpoints in one call
+    from gaugecut import expr
+
+    assert separation._ROUND_POINTS - 1 <= expr._BLOCKED_ROWS
 
 
 # ---------------------------------------------------------------------------
