@@ -22,9 +22,11 @@ alpha^T x``.  :func:`gauge_values` evaluates the gauge at any points, for
 gauge subgradient inequality.  It and the line search share one ray-crossing
 kernel: bisection, one halving of every ray per evaluation while many rays
 are open, and for a few rays the midpoints of several halvings evaluated in
-one batch, so that each crossing is bit for bit the one that one halving per
-evaluation returns.  A point outside some ``g_j``'s domain lies outside
-``C``.
+one batch: a dyadic tree, and below it the path bisection takes if a
+per-constraint interpolation of the crossing is right.  Each halving still
+decides on the value at its own midpoint, so each crossing is bit for bit
+the one that one halving per evaluation returns; the prediction only saves
+evaluations.  A point outside some ``g_j``'s domain lies outside ``C``.
 
 :func:`affine_on_segment` and :func:`classify_quadratic` decide when plain
 linearization cuts happen to be supporting: exactly when the constraint is
@@ -168,9 +170,11 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
     ``max_j g_j >= -BOUNDARY_TOL`` at the returned point.  Bisection is used
     on purpose: it needs only the sign change guaranteed by the
     preconditions, so it also handles non-convex constraint functions whose
-    restriction to the segment is not monotone.  One evaluation of 63
-    points covers six halvings, which are then taken on Python floats, and
-    the result is the one a halving at a time gives.  The kernel checks
+    restriction to the segment is not monotone.  One evaluation of 64
+    points covers at least five halvings, and usually many more along the
+    path a per-constraint interpolation predicts; they are then taken on
+    Python floats, and the result is the one a halving at a time gives.  The
+    kernel checks
     ``x0`` in its first evaluation, of ``x0`` and the first bracket end ``x0
     + 1.0 * (xbar - x0)``, which is ``xbar`` up to rounding.  The crossing
     stays below ``t = 1`` exactly when that end is infeasible, so the
@@ -289,18 +293,23 @@ def gauge_separator(constraints, x0, cfg: SolverConfig | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _fmax_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
-    """``max_j g_j`` at each row of ``P``; a row outside some ``g_j``'s
-    domain is outside ``C`` and reads ``+inf``.  A batch that raised is
-    evaluated again in halves, down to single rows, so such a row leaves
-    the others' values unchanged."""
+def _constraint_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
+    """The ``(J, N)`` values ``g_j`` at the rows of ``P``; a row outside some
+    ``g_j``'s domain is outside ``C`` and reads ``+inf`` in every constraint.
+    A batch that raised is evaluated again in halves, down to single rows,
+    so such a row leaves the others' values unchanged."""
     try:
-        return constraint_values(cons, P).max(axis=0)
+        return constraint_values(cons, P)
     except EvalDomainError:
         if P.shape[0] == 1:
-            return np.array([math.inf])
+            return np.full((len(cons), 1), math.inf)
     h = P.shape[0] // 2
-    return np.concatenate((_fmax_rows(cons, P[:h]), _fmax_rows(cons, P[h:])))
+    return np.concatenate((_constraint_rows(cons, P[:h]), _constraint_rows(cons, P[h:])), axis=1)
+
+
+def _fmax_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
+    """``max_j g_j`` at each row of ``P``, ``+inf`` outside a domain."""
+    return _constraint_rows(cons, P).max(axis=0)
 
 
 def _boundary_crossings(
@@ -321,11 +330,13 @@ def _boundary_crossings(
     The first evaluation takes the first bracket ends ``x0 + 1.0 * d`` and
     then ``x0``, which must be strictly interior: ``max_j g_j(x0) < 0``, else
     :class:`PreconditionError`.  With no rows it checks ``x0`` alone.  The
-    doubling steps evaluate one point per open row.  The bisection (see
-    :func:`_bisect`) halves every open row once per evaluation while 22 or
-    more rows are open and several times per evaluation below that, and
-    returns exactly what halving one midpoint per evaluation would: each
-    ``t*`` with ``ok`` is one it evaluated, as the point ``t* * d + x0``."""
+    doubling steps evaluate one point per open row.  A call of at most 21
+    rows keeps each row's per-constraint values at its bracket ends for
+    :func:`_bisect`'s prediction.  The bisection halves every open row once
+    per evaluation while 22 or more rows are open and several times per
+    evaluation below that, and returns exactly what halving one midpoint per
+    evaluation would: each ``t*`` with ``ok`` is one it evaluated, as the
+    point ``t* * d + x0``."""
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = np.ones(k)
@@ -334,8 +345,11 @@ def _boundary_crossings(
     P = np.empty((x0.size, k + 1))
     np.add(Dt, x0[:, None], out=P[:, :k])
     P[:, k] = x0
-    f_hi = _fmax_rows(cons, P.T)
-    del P  # as large as a grid: not kept through the doublings
+    G = _constraint_rows(cons, P.T)
+    f_hi = G.max(axis=0)
+    # [g(t_lo), g(t_hi)] per row, for a call narrow enough to predict
+    ends = [[G[:, k].tolist(), g] for g in G[:, :k].T.tolist()] if 3 * k <= _ROUND_POINTS else None
+    del G, P  # as large as a grid: not kept through the doublings
     if f_hi[k] >= 0.0:
         raise PreconditionError(
             f"interior point is not strictly interior (max_j g_j = {f_hi[k]:.6g})"
@@ -347,13 +361,16 @@ def _boundary_crossings(
         t_lo[need] = t_hi[need]
         t_hi[need] *= 2.0
         idx = np.nonzero(need)[0]
-        f_new = _fmax_rows(cons, _ray_points(x0, t_hi[idx], Dt.take(idx, axis=1)))
-        need[idx] = f_new <= 0.0
+        G = _constraint_rows(cons, _ray_points(x0, t_hi[idx], Dt.take(idx, axis=1)))
+        if ends is not None:
+            for r, g in zip(idx.tolist(), G.T.tolist()):
+                ends[r] = [ends[r][1], g]
+        need[idx] = G.max(axis=0) <= 0.0
     ok = ~need
     rows = np.nonzero(ok)[0]
     for start in range(0, rows.size, _BLOCK_ROWS):
-        still_open = _bisect(cons, x0, Dt, rows[start:start + _BLOCK_ROWS], t_lo, t_hi, tol, settle)
-        ok[still_open] = False
+        block = rows[start:start + _BLOCK_ROWS]
+        ok[_bisect(cons, x0, Dt, block, t_lo, t_hi, tol, settle, ends)] = False
     return t_lo, ok
 
 
@@ -365,21 +382,50 @@ def _ray_points(x0: np.ndarray, t: np.ndarray, Dt: np.ndarray) -> np.ndarray:
     return P.T
 
 
-def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle) -> np.ndarray:
+def _predict(a: float, b: float, c, ga, gb, gc) -> float | None:
+    """The crossing predicted in ``[a, b]`` from the per-constraint values
+    ``ga``, ``gb`` at its ends and ``gc`` at ``c``, the end last given up
+    (``None`` if unknown): the smallest root over the ``g_j`` that cross
+    zero there, each by inverse quadratic interpolation through the three
+    points where that root lies in ``[a, b]``, else by the secant through
+    the two ends.  ``None`` when some end's values are unknown or, as at a
+    domain edge, not finite."""
+    roots = []
+    # unknown ends give no roots; an unknown third point reads w = u, the secant
+    for u, v, w in zip(ga or (), gb or (), gc or ga or ()):
+        if u <= 0.0 < v < math.inf:
+            t = a - u * (b - a) / (v - u)
+            if w != u and w != v and w < math.inf:  # only distinct values divide
+                q = (a * v / (u - v) * w / (u - w) + b * u / (v - u) * w / (v - w)
+                     + c * u / (w - u) * v / (w - v))
+                t = q if a <= q <= b else t
+            roots.append(t)
+    return min(roots, default=None)
+
+
+def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle, ends):
     """Bisect the brackets ``[t_lo, t_hi]`` of ``rows``, writing each closed
     row's ``t_lo``; returns the rows still open after ``_BISECTIONS``
-    halvings.  ``Dt[:, r]`` is row ``r``'s direction.
+    halvings.  ``Dt[:, r]`` is row ``r``'s direction, and ``ends[r]``, if
+    ``ends`` is given, row ``r``'s per-constraint values at its bracket ends.
 
-    A round with ``R`` open rows takes ``d`` halvings at once, the most with
-    ``R (2^d - 1) <= _ROUND_POINTS`` (at least one).  A wide round, ``d =
-    1``, is one plain halving of every row on arrays.  A narrow round, at
-    most 21 rows, evaluates in one call every midpoint its ``d`` halvings
-    could visit, each computed as the same ``0.5 * (lo + hi)`` of the same
-    bracket ends a single halving would use, and then replays the halvings
-    row by row on Python floats, which round as numpy's float64 does: a
-    midpoint where ``max_j g_j > 0`` becomes ``hi``, any other becomes
-    ``lo``.  The stop test runs after every halving, so a row closes with
-    the ``t_lo`` of the first halving where it holds, as one halving per
+    A wide round, 22 or more open rows, is one plain halving of every row on
+    arrays.  A narrow round, ``R <= 21`` rows, gives each row ``B =
+    _ROUND_POINTS // R`` points of one evaluation.  A row without a
+    prediction (see :func:`_predict`: the tail of a wide call, a domain edge)
+    spends them on the dyadic tree of ``d`` halvings, the most with ``2^d -
+    1 <= B``.  A row with one takes that tree one level shallower and spends
+    the rest of its ``B`` below it, on the midpoints bisection visits if the
+    predicted crossing is right.  Each midpoint is computed as the same ``0.5
+    * (lo + hi)`` of the same bracket ends a single halving would use.  The
+    halvings are then replayed row by row on Python floats, which round as
+    numpy's float64 does, each deciding on the value at its own midpoint:
+    one where ``max_j g_j > 0`` becomes ``hi``, any other ``lo``.  A row's
+    round ends at its first midpoint that was not evaluated, so a wrong
+    prediction costs halvings, never a different crossing, and a row gains
+    at least ``d - 1`` halvings a round.  The stop test runs after every
+    halving, and halvings are counted per row, so a row closes with the
+    ``t_lo`` of the first halving where it holds, as one halving per
     evaluation would close it, also where the ray leaves and re-enters the
     set."""
     # Dt[:, r] is row r's direction, and a round's points are the transpose
@@ -389,54 +435,76 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle) -> np.ndarray:
     lo, hi, Dt = t_lo[rows], t_hi[rows], Dt.take(rows, axis=1)
     f_lo = np.full(rows.size, -math.inf)  # unknown until a halving lands inside
     done = 0
-    while rows.size and done < _BISECTIONS:
-        R = rows.size
-        d = min(max(1, (_ROUND_POINTS // R + 1).bit_length() - 1), _BISECTIONS - done)
-        done += d
-        if d == 1:
-            mid = 0.5 * (lo + hi)
-            fm = _fmax_rows(cons, _ray_points(x0, mid, Dt))
-            above = fm > 0.0
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-            keep = hi - lo > tol * hi
-            if settle:
-                f_lo = np.where(above, f_lo, fm)
-                keep |= f_lo < -BOUNDARY_TOL
-        else:
-            s = 1 << d
-            halves = [s >> j for j in range(1, d + 1)]  # each halving's new width
-            # E[r]: row r's bracket cut into s dyadic pieces, one level of
-            # halvings at a time; a piece [e[i], e[i + 2h]] has its midpoint at i + h
-            E = []
-            for a, b in zip(lo.tolist(), hi.tolist()):
-                e = [a] * s + [b]
-                for h in halves:
-                    e[h::2 * h] = [0.5 * (p + q) for p, q in zip(e[:s:2 * h], e[2 * h::2 * h])]
-                E.append(e)
-            P = np.array(E)[:, 1:s] * Dt[:, :, None]
-            P += x0[:, None, None]
-            F = _fmax_rows(cons, P.reshape(x0.size, -1).T).tolist()
-            keep = np.ones(R, dtype=bool)
-            state = []
-            for r, (e, fl) in enumerate(zip(E, f_lo.tolist())):
-                k = r * (s - 1) - 1  # F[k + i]: max_j g_j at e[i]
-                g = 0  # lo is e[g]
-                for h in halves:
-                    if not F[k + g + h] > 0.0:
-                        g += h
-                        fl = F[k + g]
-                    a, b = e[g], e[g + h]
-                    if not (b - a > tol * b or settle and fl < -BOUNDARY_TOL):
-                        keep[r] = False
-                        break
-                state.append((a, b, fl))  # a closed row keeps the lo it closed with
-            lo, hi, f_lo = np.array(state).T
+    while 3 * rows.size > _ROUND_POINTS and done < _BISECTIONS:
+        done += 1
+        mid = 0.5 * (lo + hi)
+        fm = _fmax_rows(cons, _ray_points(x0, mid, Dt))
+        above = fm > 0.0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        keep = hi - lo > tol * hi
+        if settle:
+            f_lo = np.where(above, f_lo, fm)
+            keep |= f_lo < -BOUNDARY_TOL
         if not keep.all():
             t_lo[rows[~keep]] = lo[~keep]
             rows, lo, hi, f_lo = rows[keep], lo[keep], hi[keep], f_lo[keep]
             Dt = Dt.compress(keep, axis=1)
-    return rows
+    if done == _BISECTIONS:
+        return rows
+    # [lo, hi, the end last given up, f_lo, halvings, g at those three, row, column of Dt]
+    live = [[a, b, None, fl, done, *(ends[r] if ends is not None else (None, None)), None, r, c]
+            for c, (r, a, b, fl) in enumerate(zip(*(v.tolist() for v in (rows, lo, hi, f_lo))))]
+    still_open = []
+    while live:
+        b_row = _ROUND_POINTS // len(live)
+        d = (b_row + 1).bit_length() - 1
+        T, ats, reps = [], [], [0] * Dt.shape[1]  # reps[col]: points of that row
+        for a, b, c, _, n, ga, gb, gc, _, col in live:
+            p = _predict(a, b, c, ga, gb, gc)
+            depth = min(d - (p is not None), _BISECTIONS - n)
+            # e: the bracket cut into s dyadic pieces, one level of halvings
+            # at a time; a piece [e[i], e[i + h]] has its midpoint at i + h/2
+            s = 1 << depth
+            e = [a] * s + [b]
+            for h in [s >> j for j in range(depth)]:
+                e[h >> 1::h] = [0.5 * (u + v) for u, v in zip(e[:s:h], e[h::h])]
+            pts = e[1:s]
+            if p is not None:  # the predicted path, past the tree's levels
+                path = []
+                for _ in range(min(b_row - len(pts) + depth, _BISECTIONS - n)):
+                    path.append(m := 0.5 * (a + b))
+                    a, b = (a, m) if m > p else (m, b)
+                pts += path[depth:]
+            ats.append(dict(zip(pts, range(len(T), len(T) + len(pts)))))  # midpoint -> column of G
+            T += pts
+            reps[col] = len(pts)
+        # live rows stay in the order of their columns, so T's points are in repeat's order
+        G = _constraint_rows(cons, _ray_points(x0, np.array(T), np.repeat(Dt, reps, axis=1)))
+        F = G.max(axis=0).tolist()
+        nxt = []
+        for (a, b, c, fl, n, ga, gb, gc, r, col), at in zip(live, ats):
+            while n < _BISECTIONS:
+                m = 0.5 * (a + b)
+                i = at.get(m)
+                if i is None:
+                    # a column of G becomes a list; a wide call's tail never predicts
+                    ga, gb, gc = ((None,) * 3 if ends is None else
+                                  [G[:, g].tolist() if type(g) is int else g for g in (ga, gb, gc)])
+                    nxt.append([a, b, c, fl, n, ga, gb, gc, r, col])
+                    break
+                n += 1
+                if F[i] > 0.0:
+                    c, gc, b, gb = b, gb, m, i
+                else:
+                    c, gc, a, ga, fl = a, ga, m, i, F[i]
+                if not (b - a > tol * b or settle and fl < -BOUNDARY_TOL):
+                    t_lo[r] = a
+                    break
+            else:
+                still_open.append(r)
+        live = nxt
+    return still_open
 
 
 def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:

@@ -220,12 +220,14 @@ def supporting_oracle_quadratic(
     return False
 
 
-def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False):
+def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False, counts=None):
     """Test-only reference for ``separation._boundary_crossings``: the same
     doubling, then bisection with one midpoint per row per evaluation.  The
     kernel must return the same ``ok`` and, where ``ok``, bit-identical
     ``t*``.  It evaluates through ``_REFERENCE_FMAX`` so that tests counting
-    the kernel's own evaluations do not count these."""
+    the kernel's own evaluations do not count these.  ``counts``, an integer
+    array of shape ``(2, k)`` if given, gets each row's doublings and
+    halvings added to its two rows."""
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = np.ones(k)
@@ -237,6 +239,8 @@ def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False):
         t_lo[need] = t_hi[need]
         t_hi[need] *= 2.0
         idx = np.nonzero(need)[0]
+        if counts is not None:
+            counts[0, idx] += 1
         f_new = _REFERENCE_FMAX(cons, x0 + t_hi[idx, None] * D[idx])
         need[idx] = f_new <= 0.0
     ok = ~need
@@ -246,6 +250,8 @@ def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False):
     for _ in range(_BISECTIONS):
         if rows.size == 0:
             break
+        if counts is not None:
+            counts[1, rows] += 1
         mid = 0.5 * (lo + hi)
         fm = _REFERENCE_FMAX(cons, x0 + mid[:, None] * Dr)
         above = fm > 0.0

@@ -22,7 +22,7 @@ from gaugecut import (
     parse,
 )
 from gaugecut import separation
-from gaugecut.model import SolverConfig, max_violation
+from gaugecut.model import SolverConfig, constraint_values, max_violation
 from gaugecut.separation import _boundary_crossings  # bound before any test patches it
 
 from helpers import (
@@ -159,10 +159,11 @@ def test_line_search_evaluation_budget(monkeypatch):
     monkeypatch.setattr(separation, "constraint_values", counting(separation.constraint_values))
     monkeypatch.setattr(separation, "max_violation", counting(separation.max_violation))
     gr = line_search_boundary(make_circle().constraints, ORIGIN, [1.5, 1.5])
-    # x0 and xbar together, then about 30 halvings at six per evaluation of
-    # 63 points; one constraint needs no evaluation for the active set
-    assert len(calls) <= 7
-    assert calls[0] == 2 and max(calls) == 63
+    # x0 and xbar together, then about 30 halvings in three rounds of at
+    # most _ROUND_POINTS midpoints; one constraint needs no evaluation for
+    # the active set
+    assert len(calls) <= 4
+    assert calls[0] == 2 and max(calls) <= separation._ROUND_POINTS
     assert gr.lambda_star.hex() == "0x1.e2b7dddc00000p-2"
 
 
@@ -210,10 +211,10 @@ def test_check_supporting_evaluates_only_the_cut_point(monkeypatch):
 
 
 def test_every_line_search_round_runs_on_the_blocked_tape():
-    # a narrow round evaluates up to _ROUND_POINTS - 1 midpoints in one call
+    # a narrow round evaluates up to _ROUND_POINTS midpoints in one call
     from gaugecut import expr
 
-    assert separation._ROUND_POINTS - 1 <= expr._BLOCKED_ROWS
+    assert separation._ROUND_POINTS <= expr._BLOCKED_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +288,155 @@ def test_boundary_crossings_budget_counts_halvings(settle):
     ref = reference_boundary_crossings(p.constraints, ORIGIN, D, 1e-13, settle)
     assert_same_crossings(got, ref)
     assert got[1].tolist() == [True, False]
+
+
+# ---------------------------------------------------------------------------
+# narrow rounds: a predicted path saves evaluations, never moves a crossing
+# ---------------------------------------------------------------------------
+
+
+def _count_kernel_evaluations(monkeypatch):
+    """The number of points of each evaluation the kernel makes from now on,
+    with its test-mode reference check off; a batch that a domain error
+    splits counts once."""
+    sizes = []
+    fn = separation._constraint_rows
+    nested = [False]
+
+    def counted(cons, P):
+        if nested[0]:
+            return fn(cons, P)
+        sizes.append(P.shape[0])
+        nested[0] = True
+        try:
+            return fn(cons, P)
+        finally:
+            nested[0] = False
+
+    monkeypatch.setattr(separation, "_boundary_crossings", _boundary_crossings)
+    monkeypatch.setattr(separation, "_constraint_rows", counted)
+    return sizes
+
+
+# mean evaluations per ray of a kernel whose every narrow round is the full
+# dyadic tree, on the rays below (settle on, settle off)
+_FULL_TREE_MEANS = {"circle": (7.06, 9.13), "ball_exp7": (7.07, 9.14), "annulus": (7.26, 9.24)}
+
+
+@pytest.mark.parametrize("settle", [True, False])
+@pytest.mark.parametrize("name", sorted(KERNEL_SETS))
+def test_single_rays_gain_five_halvings_a_round_and_save_evaluations(monkeypatch, name, settle):
+    # one ray per call: a round evaluates 64 points, the full tree of six
+    # halvings for a row without a prediction, five and a predicted path for
+    # one with it, so every round takes at least five of the reference's
+    # halvings
+    p = KERNEL_SETS[name]()
+    x0 = p.interior_point
+    D = _rays(p, 200)
+    tol = 1e-9 if settle else 1e-13
+    counts = np.zeros((2, len(D)), dtype=int)
+    t_ref, ok_ref = reference_boundary_crossings(p.constraints, x0, D, tol, settle, counts)
+    sizes = _count_kernel_evaluations(monkeypatch)  # after the reference's evaluations
+    evaluations = []
+    for r, (doublings, halvings) in enumerate(counts.T):
+        sizes.clear()
+        got = _boundary_crossings(p.constraints, x0, D[r:r + 1], tol=tol, settle=settle)
+        assert_same_crossings(got, (t_ref[r:r + 1], ok_ref[r:r + 1]))
+        rounds = len(sizes) - 1 - doublings
+        assert rounds <= math.ceil(halvings / 5)
+        evaluations.append(len(sizes))
+    if name in _FULL_TREE_MEANS:
+        assert np.mean(evaluations) <= _FULL_TREE_MEANS[name][not settle] - 2.0
+
+
+@pytest.mark.parametrize("settle", [True, False])
+@pytest.mark.parametrize("end", [0, 1])
+@pytest.mark.parametrize("name", ["circle", "annulus"])
+def test_a_prediction_at_a_bracket_end_still_gains_five_halvings_a_round(
+        monkeypatch, name, end, settle):
+    # a predicted crossing at lo or hi sends the path down the tree's first
+    # or last leaf, where the crossing rarely lies: the tree alone must then
+    # take five halvings a round
+    p = KERNEL_SETS[name]()
+    x0 = p.interior_point
+    D = _rays(p, 50, seed=8)
+    tol = 1e-9 if settle else 1e-13
+    counts = np.zeros((2, len(D)), dtype=int)
+    t_ref, ok_ref = reference_boundary_crossings(p.constraints, x0, D, tol, settle, counts)
+    sizes = _count_kernel_evaluations(monkeypatch)  # after the reference's evaluations
+    monkeypatch.setattr(separation, "_predict", lambda a, b, *values: (a, b)[end])
+    for r, (doublings, halvings) in enumerate(counts.T):
+        sizes.clear()
+        got = _boundary_crossings(p.constraints, x0, D[r:r + 1], tol=tol, settle=settle)
+        assert_same_crossings(got, (t_ref[r:r + 1], ok_ref[r:r + 1]))
+        assert len(sizes) - 1 - doublings <= math.ceil(halvings / 5)
+
+
+@pytest.mark.parametrize("settle", [False, True])
+def test_a_domain_edge_end_gets_the_full_tree(monkeypatch, settle):
+    # from (5, 5) toward (-1, -1): xy = e at t = 0.559, and log's domain
+    # ends at t = 5/6, so the first bracket end reads +inf
+    p = make_log()
+    D = np.array([[-6.0, -6.0]])
+    tol = 1e-9 if settle else 1e-13
+    ref = reference_boundary_crossings(p.constraints, p.interior_point, D, tol, settle)
+    sizes = _count_kernel_evaluations(monkeypatch)  # after the reference's evaluations
+    got = _boundary_crossings(p.constraints, p.interior_point, D, tol=tol, settle=settle)
+    assert_same_crossings(got, ref)
+    # six halvings in 63 points, after which both ends are finite and predict
+    assert sizes[:3] == [2, 63, 64]
+
+
+@pytest.mark.parametrize("settle", [False, True])
+@pytest.mark.parametrize("rows", [1, 5, 21])
+def test_the_attaining_constraint_switches_inside_the_bracket(settle, rows):
+    # exp attains max_j g_j at x0 = 0 (-0.5 against -1), but rays into the
+    # negative orthant leave the set through the ball
+    p = make_ball_exp()
+    rng = np.random.default_rng(4)
+    D = -np.abs(rng.standard_normal((rows, p.n)))
+    tol = 1e-9 if settle else 1e-13
+    got = _boundary_crossings(p.constraints, p.interior_point, D, tol=tol, settle=settle)
+    ref = reference_boundary_crossings(p.constraints, p.interior_point, D, tol, settle)
+    assert_same_crossings(got, ref)
+    assert np.argmax(constraint_values(p.constraints, p.interior_point)) == 1
+    at_crossing = constraint_values(p.constraints, got[0][:, None] * D + p.interior_point)
+    assert got[1].all() and np.all(np.argmax(at_crossing, axis=0) == 0)
+
+
+@pytest.mark.parametrize("settle", [False, True])
+@pytest.mark.parametrize("rows", [1, 21])
+def test_rays_that_double_predict_from_the_doubling_values(monkeypatch, settle, rows):
+    # 0.005 <= |d| <= 0.05: the crossing lies at t = 20 to 200, where the
+    # bracket is [16, 32] or beyond, five or more doublings out
+    p = make_circle()
+    rng = np.random.default_rng(6)
+    D = rng.standard_normal((rows, 2))
+    D *= rng.uniform(0.005, 0.05, size=(rows, 1)) / np.linalg.norm(D, axis=1, keepdims=True)
+    tol = 1e-9 if settle else 1e-13
+    ref = reference_boundary_crossings(p.constraints, ORIGIN, D, tol, settle)
+    sizes = _count_kernel_evaluations(monkeypatch)
+    got = _boundary_crossings(p.constraints, ORIGIN, D, tol=tol, settle=settle)
+    assert_same_crossings(got, ref)
+    assert np.all(got[0] > 16.0)
+    if rows == 1:  # the first round already follows a predicted path
+        doublings = sizes.count(1)
+        assert doublings >= 5 and sizes[1 + doublings] == separation._ROUND_POINTS
+
+
+@pytest.mark.parametrize("settle", [False, True])
+def test_a_row_out_of_halvings_inside_a_path_round_is_not_ok(monkeypatch, settle):
+    # the crossing at t = 1e-20 needs about 109 halvings from [0, 1]; the
+    # last round has fewer than 64 points because its path stops at the
+    # 100th halving, and there the row is still open
+    p = make_circle()
+    D = np.array([[1e20, 0.0]])
+    ref = reference_boundary_crossings(p.constraints, ORIGIN, D, 1e-13, settle)
+    sizes = _count_kernel_evaluations(monkeypatch)
+    got = _boundary_crossings(p.constraints, ORIGIN, D, tol=1e-13, settle=settle)
+    assert_same_crossings(got, ref)
+    assert not got[1][0]
+    assert 31 < sizes[-1] < separation._ROUND_POINTS
 
 
 # ---------------------------------------------------------------------------
