@@ -16,7 +16,8 @@ HEAD``) and each checkout's result signatures from ``bench_signatures.py``.
 
 The second form prints, per workload, seed and metric, the median of the
 parent's and the change's runs, the interquartile range of the parent's runs,
-and the pairs the change won (ties count for neither side); then any runs
+and the pairs the change won (ties count for neither side), and the same over
+all seeds of a workload run on more than one; then any runs
 that failed, were not correct or failed operations, and any signatures that
 are missing through a failure or differ.  It exits 1 if there are such runs
 or signatures, and 0 otherwise.
@@ -141,37 +142,54 @@ def _describe_failure(result: dict) -> str:
     return f"exit code {result['exit_code']}, stderr ends {tail[0] if tail else ''!r}"
 
 
+def _metric_lines(label: str, a: dict, b: dict, better: dict) -> list[str]:
+    """Per metric, a line on the parent's runs ``a`` and the change's runs
+    ``b`` (results keyed by workload, seed and pair): each side's median,
+    the parent's interquartile range and the pairs the change won and lost."""
+    lines = []
+    for metric in sorted({m for r in [*a.values(), *b.values()] for m in r["metrics"]}):
+        pa = [r["metrics"][metric]["value"] for r in a.values() if metric in r["metrics"]]
+        pb = [r["metrics"][metric]["value"] for r in b.values() if metric in r["metrics"]]
+        if not pa or not pb:
+            continue
+        q1, q3 = _quartiles(pa)
+        sign = -1.0 if better.get(metric, "lower") == "lower" else 1.0
+        pairs = [(a[k]["metrics"][metric]["value"], b[k]["metrics"][metric]["value"])
+                 for k in sorted(a) if k in b and metric in b[k]["metrics"]]
+        won = sum(sign * (y - x) > 0 for x, y in pairs)
+        lost = sum(sign * (y - x) < 0 for x, y in pairs)
+        lines.append(
+            f"{label} {metric}: parent {statistics.median(pa):.4g}"
+            f" (IQR {q3 - q1:.3g}, {len(pa)} runs), change {statistics.median(pb):.4g}"
+            f" ({len(pb)} runs), change won {won} and lost {lost} of {len(pairs)} pairs")
+    return lines
+
+
 def compare(parent: list[dict], change: list[dict],
             signatures=(None, None)) -> tuple[list[str], bool]:
     """Report lines for the ``runs`` entries of the parent and the change, and
     whether every run ended with a correct result without failed operations,
     no side's signatures failed, and the signatures, where both sides have
-    them, are equal."""
+    them, are equal.  A workload run on more than one seed also gets its
+    lines over all seeds, after those of each seed."""
     better = _directions()
     runs = {"parent": _by_key(parent), "change": _by_key(change)}
     a, b = ({k: r for k, r in side.items() if "metrics" in r} for side in runs.values())
     lines = []
-    groups = sorted({k[:2] for k in a} | {k[:2] for k in b},
-                    key=lambda g: (WORKLOAD_NAMES.index(g[0]) if g[0] in WORKLOAD_NAMES else 99, g))
-    for workload, seed in groups:
-        ka = sorted(k for k in a if k[:2] == (workload, seed))
-        kb = sorted(k for k in b if k[:2] == (workload, seed))
-        metrics = sorted({m for r in [a[k] for k in ka] + [b[k] for k in kb] for m in r["metrics"]})
-        for metric in metrics:
-            pa = [a[k]["metrics"][metric]["value"] for k in ka if metric in a[k]["metrics"]]
-            pb = [b[k]["metrics"][metric]["value"] for k in kb if metric in b[k]["metrics"]]
-            if not pa or not pb:
-                continue
-            q1, q3 = _quartiles(pa)
-            sign = -1.0 if better.get(metric, "lower") == "lower" else 1.0
-            pairs = [(a[k]["metrics"][metric]["value"], b[k]["metrics"][metric]["value"])
-                     for k in ka if k in b and metric in b[k]["metrics"]]
-            won = sum(sign * (y - x) > 0 for x, y in pairs)
-            lost = sum(sign * (y - x) < 0 for x, y in pairs)
-            lines.append(
-                f"{workload} seed {seed} {metric}: parent {statistics.median(pa):.4g}"
-                f" (IQR {q3 - q1:.3g}, {len(pa)} runs), change {statistics.median(pb):.4g}"
-                f" ({len(pb)} runs), change won {won} and lost {lost} of {len(pairs)} pairs")
+    workloads = sorted({k[0] for k in a} | {k[0] for k in b},
+                       key=lambda w: (WORKLOAD_NAMES.index(w) if w in WORKLOAD_NAMES else 99, w))
+
+    def pick(keep):  # each side's runs whose key passes keep
+        return [{k: r for k, r in side.items() if keep(k)} for side in (a, b)]
+
+    for workload in workloads:
+        seeds = sorted({k[1] for k in [*a, *b] if k[0] == workload})
+        for seed in seeds:
+            lines += _metric_lines(f"{workload} seed {seed}",
+                                   *pick(lambda k: k[:2] == (workload, seed)), better)
+        if len(seeds) > 1:
+            lines += _metric_lines(f"{workload} all seeds", *pick(lambda k: k[0] == workload),
+                                   better)
     clean = True
     for name, side in runs.items():
         for (workload, seed, k), r in sorted(side.items()):

@@ -23,10 +23,14 @@ gauge subgradient inequality.  It and the line search share one ray-crossing
 kernel: bisection, one halving of every ray per evaluation while many rays
 are open, and for a few rays the midpoints of several halvings evaluated in
 one batch: a dyadic tree, and below it the path bisection takes if a
-per-constraint interpolation of the crossing is right.  Each halving still
-decides on the value at its own midpoint, so each crossing is bit for bit
-the one that one halving per evaluation returns; the prediction only saves
-evaluations.  A point outside some ``g_j``'s domain lies outside ``C``.
+per-constraint interpolation of the crossing is right.  For a few rays the
+first evaluation, of the first bracket ends and the interior point, also
+holds each ray's first tree, and the kernel hands back the per-constraint
+values at each crossing, from which the line search takes its active set.
+Each halving still decides on the value at its own midpoint, so each
+crossing is bit for bit the one that one halving per evaluation returns; the
+prediction only saves evaluations.  A point outside some ``g_j``'s domain
+lies outside ``C``.
 
 :func:`affine_on_segment` and :func:`classify_quadratic` decide when plain
 linearization cuts happen to be supporting: exactly when the constraint is
@@ -37,6 +41,7 @@ outside the range of ``A``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -170,15 +175,18 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
     ``max_j g_j >= -BOUNDARY_TOL`` at the returned point.  Bisection is used
     on purpose: it needs only the sign change guaranteed by the
     preconditions, so it also handles non-convex constraint functions whose
-    restriction to the segment is not monotone.  One evaluation of 64
-    points covers at least five halvings, and usually many more along the
-    path a per-constraint interpolation predicts; they are then taken on
-    Python floats, and the result is the one a halving at a time gives.  The
-    kernel checks
-    ``x0`` in its first evaluation, of ``x0`` and the first bracket end ``x0
-    + 1.0 * (xbar - x0)``, which is ``xbar`` up to rounding.  The crossing
-    stays below ``t = 1`` exactly when that end is infeasible, so the
-    crossing also tells whether ``xbar`` is.
+    restriction to the segment is not monotone.  The kernel's first
+    evaluation holds the first bracket end ``x0 + 1.0 * (xbar - x0)``, which
+    is ``xbar`` up to rounding, then ``x0``, which it checks, and the 31
+    midpoints of the first five halvings of ``[0, 1]``.  Each later
+    evaluation of up to 64 points covers at least five halvings, and usually
+    many more along the path a per-constraint interpolation predicts; they
+    are then taken on Python floats, and the result is the one a halving at
+    a time gives.  The crossing stays below ``t = 1`` exactly when that end
+    is infeasible, so the crossing also tells whether ``xbar`` is.  The
+    active set comes from the kernel's values at the boundary point, which
+    it evaluated, so nothing is evaluated after the kernel returns.  A
+    non-finite ``xbar`` raises :class:`PreconditionError`.
     """
     cons = as_constraints(constraints)
     if cfg is None:
@@ -186,13 +194,15 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
     x0 = np.asarray(x0, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
     D = (xbar - x0)[None, :]
-    t_star, ok = _boundary_crossings(cons, x0, D, tol=cfg.line_search_tol, settle=True)
+    t_star, ok, at_t = _boundary_crossings(cons, x0, D, tol=cfg.line_search_tol, settle=True)
     if t_star[0] >= 1.0:  # t_lo leaves [0, 1) only by doubling past a feasible first end
         f1 = _fmax_rows(cons, x0 + 1.0 * D)[0]
         raise PreconditionError(
             f"point to separate is feasible (max_j g_j = {f1:.6g})"
         )
     if not ok[0]:
+        if not np.isfinite(xbar).all():
+            raise PreconditionError("point to separate is not finite")
         raise SeparationError(
             f"line search did not reach |max_j g_j| <= {BOUNDARY_TOL:g} within {_BISECTIONS} "
             "bisections: either the crossing lies within "
@@ -201,13 +211,13 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
             "point to separate lies that far outside), or max_j g_j is too steep there to settle"
         )
     lo = float(t_star[0])
-    xhat = x0 + lo * (xbar - x0)
+    xhat = x0 + lo * (xbar - x0)  # the point lo * d + x0 the kernel evaluated, bit for bit
     active = [0]  # a single constraint is the attaining one
     if len(cons) > 1:
-        gvals = constraint_values(cons, xhat)
-        active = [j for j in range(len(cons)) if gvals[j] >= -cfg.activity_tol]
+        gvals = at_t[0]
+        active = [j for j, g in enumerate(gvals) if g >= -cfg.activity_tol]
         if not active:
-            active = [int(np.argmax(gvals))]
+            active = [gvals.index(max(gvals))]
     return GaugeResult(
         lambda_star=lo,
         gauge_value=1.0 / lo,
@@ -318,60 +328,87 @@ def _boundary_crossings(
     D: np.ndarray,
     tol: float = 1e-13,
     settle: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list | None]:
     """Per row of ``D``: the parameter ``t* > 0`` where ``max_j g_j(x0 + t d)``
     crosses zero, taken on the feasible side, bisected to a bracket width of
     at most ``tol * t_hi``.  ``settle`` also bisects on until ``max_j g_j >=
     -BOUNDARY_TOL`` at ``t*`` (grids leave it off: there it costs time and
     leaves steep rays open).  Rows whose ray never leaves the set within the
     doubling budget, or still open after ``_BISECTIONS`` halvings, get ``ok
-    = False`` and a meaningless ``t*``.
+    = False`` and a meaningless ``t*``.  Returns ``(t*, ok, at_t)``: for a
+    narrow call, of 1 to 21 rows, ``at_t[r]`` lists row ``r``'s
+    per-constraint values at its ``t*`` where ``ok`` and is ``None``
+    elsewhere; any other call gives ``at_t = None``.
 
-    The first evaluation takes the first bracket ends ``x0 + 1.0 * d`` and
-    then ``x0``, which must be strictly interior: ``max_j g_j(x0) < 0``, else
-    :class:`PreconditionError`.  With no rows it checks ``x0`` alone.  The
-    doubling steps evaluate one point per open row.  A call of at most 21
-    rows keeps each row's per-constraint values at its bracket ends for
-    :func:`_bisect`'s prediction.  The bisection halves every open row once
-    per evaluation while 22 or more rows are open and several times per
-    evaluation below that, and returns exactly what halving one midpoint per
-    evaluation would: each ``t*`` with ``ok`` is one it evaluated, as the
-    point ``t* * d + x0``."""
+    The first evaluation takes the first bracket ends ``x0 + 1.0 * d``, then
+    ``x0``, which must be strictly interior: ``max_j g_j(x0) < 0``, else
+    :class:`PreconditionError`.  With no rows it checks ``x0`` alone.  A
+    narrow call's first evaluation then takes each row's first round, the
+    dyadic tree of :func:`_first_tree`, so a row whose first end is
+    infeasible takes its first halvings with no evaluation of its own; one
+    that doubles plans its first round in :func:`_rounds`.  A narrow call
+    also keeps each row's per-constraint values at its bracket ends for
+    :func:`_predict`.  The doubling steps evaluate one point per open row.
+    The bisection halves every open row once per evaluation while 22 or more
+    rows are open and several times per evaluation below that, and returns
+    exactly what halving one midpoint per evaluation would: each ``t*`` with
+    ``ok`` is one it evaluated, as the point ``t* * d + x0``, and ``at_t``
+    holds the values of that evaluation."""
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = np.ones(k)
     Dt = np.ascontiguousarray(D.T)  # Dt[:, r] is row r's direction
-    # the first ends in the layout of _ray_points (1.0 * d is d), then x0
-    P = np.empty((x0.size, k + 1))
+    narrow = 0 < k <= _ROUND_POINTS // 3
+    tree, columns = _first_tree(k) if narrow else (np.empty(0), None)
+    m = tree.size
+    # the first ends in the layout of _ray_points (1.0 * d is d), then x0,
+    # then row r's tree at the columns from k + 1 + r * m on
+    P = np.empty((x0.size, k + 1 + k * m))
     np.add(Dt, x0[:, None], out=P[:, :k])
     P[:, k] = x0
+    if m:
+        trees = P[:, k + 1:].reshape(x0.size, k, m)  # a view: it splits the last axis
+        np.multiply(Dt[:, :, None], tree, out=trees)
+        trees += x0[:, None, None]
     G = _constraint_rows(cons, P.T)
     f_hi = G.max(axis=0)
-    # [g(t_lo), g(t_hi)] per row, for a call narrow enough to predict
-    ends = [[G[:, k].tolist(), g] for g in G[:, :k].T.tolist()] if 3 * k <= _ROUND_POINTS else None
-    del G, P  # as large as a grid: not kept through the doublings
+    if narrow:  # [g(t_lo), g(t_hi)] per row
+        ends = [[G[:, k].tolist(), g] for g in G[:, :k].T.tolist()]
+    else:
+        del G  # as large as a grid: not kept through the doublings
+    del P
     if f_hi[k] >= 0.0:
         raise PreconditionError(
             f"interior point is not strictly interior (max_j g_j = {f_hi[k]:.6g})"
         )
     need = f_hi[:k] <= 0.0
     for _ in range(_DOUBLINGS):
-        if not np.any(need):
+        if not need.any():
             break
         t_lo[need] = t_hi[need]
         t_hi[need] *= 2.0
         idx = np.nonzero(need)[0]
-        G = _constraint_rows(cons, _ray_points(x0, t_hi[idx], Dt.take(idx, axis=1)))
-        if ends is not None:
-            for r, g in zip(idx.tolist(), G.T.tolist()):
+        Gd = _constraint_rows(cons, _ray_points(x0, t_hi[idx], Dt.take(idx, axis=1)))
+        if narrow:
+            for r, g in zip(idx.tolist(), Gd.T.tolist()):
                 ends[r] = [ends[r][1], g]
-        need[idx] = G.max(axis=0) <= 0.0
+        need[idx] = Gd.max(axis=0) <= 0.0
     ok = ~need
-    rows = np.nonzero(ok)[0]
-    for start in range(0, rows.size, _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        ok[_bisect(cons, x0, Dt, block, t_lo, t_hi, tol, settle, ends)] = False
-    return t_lo, ok
+    if not narrow:
+        rows = np.nonzero(ok)[0]
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            ok[_bisect(cons, x0, Dt, block, t_lo, t_hi, tol, settle)] = False
+        return t_lo, ok, None
+    # a row that doubled plans its first round; any other has it in G
+    live, ats = [], []
+    for r, (a, b, bracketed) in enumerate(zip(t_lo.tolist(), t_hi.tolist(), ok.tolist())):
+        if bracketed:
+            live.append([a, b, None, -math.inf, 0, *ends[r], None, r, r])
+            ats.append({} if b > 1.0 else columns[r])
+    at_t = [None] * k
+    ok[_rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t, (G, f_hi.tolist(), ats))] = False
+    return t_lo, ok, at_t
 
 
 def _ray_points(x0: np.ndarray, t: np.ndarray, Dt: np.ndarray) -> np.ndarray:
@@ -380,6 +417,36 @@ def _ray_points(x0: np.ndarray, t: np.ndarray, Dt: np.ndarray) -> np.ndarray:
     P = np.multiply(t, Dt, order="C")
     P += x0[:, None]
     return P.T
+
+
+def _tree(a: float, b: float, depth: int) -> list[float]:
+    """The ``2^depth - 1`` midpoints that ``depth`` halvings of ``[a, b]``
+    can visit, in increasing order, each the ``0.5 * (lo + hi)`` of the
+    bracket a halving would split there."""
+    cut = [a, b]  # [a, b] cut into dyadic pieces, one level of halvings at a time
+    for _ in range(depth):
+        finer = [a]
+        for u, v in zip(cut, cut[1:]):
+            finer += (0.5 * (u + v), v)
+        cut = finer
+    return cut[1:-1]
+
+
+@functools.cache
+def _first_tree(k: int) -> tuple[np.ndarray, list[dict[float, int]]]:
+    """The first round of each row of a narrow call of ``k`` rows: the
+    dyadic tree on ``[0, 1]`` of the largest depth ``d`` with ``(k + 1) + k
+    (2^d - 1) <= _ROUND_POINTS``, so that the first evaluation, of ``k``
+    first ends, ``x0`` and ``k`` trees, stays within one round's points and
+    on the blocked tape (``d = 5`` for one row, 1 for 21).  Returns the
+    tree's midpoints and, per row ``r``, the map from each midpoint to its
+    column ``k + 1 + r m + i`` of the first evaluation; neither is to be
+    changed."""
+    tree = _tree(0.0, 1.0, ((_ROUND_POINTS - 1) // k).bit_length() - 1)
+    m = len(tree)
+    points = np.array(tree)
+    points.flags.writeable = False
+    return points, [dict(zip(tree, range(k + 1 + r * m, k + 1 + (r + 1) * m))) for r in range(k)]
 
 
 def _predict(a: float, b: float, c, ga, gb, gc) -> float | None:
@@ -403,31 +470,13 @@ def _predict(a: float, b: float, c, ga, gb, gc) -> float | None:
     return min(roots, default=None)
 
 
-def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle, ends):
-    """Bisect the brackets ``[t_lo, t_hi]`` of ``rows``, writing each closed
-    row's ``t_lo``; returns the rows still open after ``_BISECTIONS``
-    halvings.  ``Dt[:, r]`` is row ``r``'s direction, and ``ends[r]``, if
-    ``ends`` is given, row ``r``'s per-constraint values at its bracket ends.
-
-    A wide round, 22 or more open rows, is one plain halving of every row on
-    arrays.  A narrow round, ``R <= 21`` rows, gives each row ``B =
-    _ROUND_POINTS // R`` points of one evaluation.  A row without a
-    prediction (see :func:`_predict`: the tail of a wide call, a domain edge)
-    spends them on the dyadic tree of ``d`` halvings, the most with ``2^d -
-    1 <= B``.  A row with one takes that tree one level shallower and spends
-    the rest of its ``B`` below it, on the midpoints bisection visits if the
-    predicted crossing is right.  Each midpoint is computed as the same ``0.5
-    * (lo + hi)`` of the same bracket ends a single halving would use.  The
-    halvings are then replayed row by row on Python floats, which round as
-    numpy's float64 does, each deciding on the value at its own midpoint:
-    one where ``max_j g_j > 0`` becomes ``hi``, any other ``lo``.  A row's
-    round ends at its first midpoint that was not evaluated, so a wrong
-    prediction costs halvings, never a different crossing, and a row gains
-    at least ``d - 1`` halvings a round.  The stop test runs after every
-    halving, and halvings are counted per row, so a row closes with the
-    ``t_lo`` of the first halving where it holds, as one halving per
-    evaluation would close it, also where the ray leaves and re-enters the
-    set."""
+def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle):
+    """Bisect the brackets ``[t_lo, t_hi]`` of ``rows`` of a call of 22 or
+    more rows, writing each closed row's ``t_lo``; returns the rows still
+    open after ``_BISECTIONS`` halvings.  ``Dt[:, r]`` is row ``r``'s
+    direction.  A round with 22 or more open rows is one plain halving of
+    every row on arrays; the rows that remain below that go to
+    :func:`_rounds`, without a prediction."""
     # Dt[:, r] is row r's direction, and a round's points are the transpose
     # of an (n, N) array: numpy builds and evaluates its contiguous
     # coordinates much faster than the strided columns of an (N, n) one, and
@@ -452,36 +501,66 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle, ends):
             Dt = Dt.compress(keep, axis=1)
     if done == _BISECTIONS:
         return rows
-    # [lo, hi, the end last given up, f_lo, halvings, g at those three, row, column of Dt]
-    live = [[a, b, None, fl, done, *(ends[r] if ends is not None else (None, None)), None, r, c]
+    live = [[a, b, None, fl, done, None, None, None, r, c]
             for c, (r, a, b, fl) in enumerate(zip(*(v.tolist() for v in (rows, lo, hi, f_lo))))]
+    return _rounds(cons, x0, Dt, live, t_lo, tol, settle)
+
+
+def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
+    """Bisect at most 21 open rows several halvings per evaluation, writing
+    each closed row's ``t_lo``; returns the rows still open after
+    ``_BISECTIONS`` halvings.  A row of ``live`` is ``[lo, hi, the end last
+    given up, f_lo, halvings, g at those three, row, column of Dt]``, its
+    ``g`` per-constraint value lists or ``None`` where unknown.  Rows
+    predict only when ``at_t`` is given, which then gets each closed row's
+    values at its ``t_lo``.  ``first``, if given, is the first round,
+    evaluated with the first bracket ends: its per-constraint values, their
+    ``max_j`` as a list and, per row of ``live``, a map from each midpoint
+    it holds for the row to its column, empty for a row that doubled, which
+    plans its first round in the next.
+
+    Each of ``R`` rows of a round to plan gets ``B = _ROUND_POINTS // R``
+    points of one evaluation.  A row without a prediction (see
+    :func:`_predict`: the tail of a wide call, a domain edge) spends them on
+    the dyadic tree of ``d`` halvings, the most with ``2^d - 1 <= B``.  A
+    row with one takes that tree one level shallower and spends the rest of
+    its ``B`` below it, on the midpoints bisection visits if the predicted
+    crossing is right.  Each midpoint is computed as the same ``0.5 * (lo +
+    hi)`` of the same bracket ends a single halving would use.  The halvings
+    are then replayed row by row on Python floats, which round as numpy's
+    float64 does, each deciding on the value at its own midpoint: one where
+    ``max_j g_j > 0`` becomes ``hi``, any other ``lo``.  A row's round ends
+    at its first midpoint that was not evaluated, so a wrong prediction
+    costs halvings, never a different crossing, and a row gains at least
+    ``d - 1`` halvings a round.  The stop test runs after every halving, and
+    halvings are counted per row, so a row closes with the ``t_lo`` of the
+    first halving where it holds, as one halving per evaluation would close
+    it, also where the ray leaves and re-enters the set."""
+    G, F, ats = first or (None, None, None)
     still_open = []
     while live:
-        b_row = _ROUND_POINTS // len(live)
-        d = (b_row + 1).bit_length() - 1
-        T, ats, reps = [], [], [0] * Dt.shape[1]  # reps[col]: points of that row
-        for a, b, c, _, n, ga, gb, gc, _, col in live:
-            p = _predict(a, b, c, ga, gb, gc)
-            depth = min(d - (p is not None), _BISECTIONS - n)
-            # e: the bracket cut into s dyadic pieces, one level of halvings
-            # at a time; a piece [e[i], e[i + h]] has its midpoint at i + h/2
-            s = 1 << depth
-            e = [a] * s + [b]
-            for h in [s >> j for j in range(depth)]:
-                e[h >> 1::h] = [0.5 * (u + v) for u, v in zip(e[:s:h], e[h::h])]
-            pts = e[1:s]
-            if p is not None:  # the predicted path, past the tree's levels
-                path = []
-                for _ in range(min(b_row - len(pts) + depth, _BISECTIONS - n)):
-                    path.append(m := 0.5 * (a + b))
-                    a, b = (a, m) if m > p else (m, b)
-                pts += path[depth:]
-            ats.append(dict(zip(pts, range(len(T), len(T) + len(pts)))))  # midpoint -> column of G
-            T += pts
-            reps[col] = len(pts)
-        # live rows stay in the order of their columns, so T's points are in repeat's order
-        G = _constraint_rows(cons, _ray_points(x0, np.array(T), np.repeat(Dt, reps, axis=1)))
-        F = G.max(axis=0).tolist()
+        if ats is None:
+            b_row = _ROUND_POINTS // len(live)
+            d = (b_row + 1).bit_length() - 1
+            T, ats, reps = [], [], [0] * Dt.shape[1]  # reps[col]: points of that row
+            for a, b, c, _, n, ga, gb, gc, _, col in live:
+                p = _predict(a, b, c, ga, gb, gc)
+                depth = min(d - (p is not None), _BISECTIONS - n)
+                pts = _tree(a, b, depth)
+                if p is not None:  # the predicted path, past the tree's levels
+                    path = []
+                    for _ in range(min(b_row - len(pts) + depth, _BISECTIONS - n)):
+                        path.append(m := 0.5 * (a + b))
+                        a, b = (a, m) if m > p else (m, b)
+                    pts += path[depth:]
+                # midpoint -> column of G
+                ats.append(dict(zip(pts, range(len(T), len(T) + len(pts)))))
+                T += pts
+                reps[col] = len(pts)
+            # live rows stay in the order of their columns, so T's points are in repeat's order
+            Dr = Dt[:, live[0][-1], None] if len(live) == 1 else np.repeat(Dt, reps, axis=1)
+            G = _constraint_rows(cons, _ray_points(x0, np.array(T), Dr))
+            F = G.max(axis=0).tolist()
         nxt = []
         for (a, b, c, fl, n, ga, gb, gc, r, col), at in zip(live, ats):
             while n < _BISECTIONS:
@@ -489,7 +568,7 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle, ends):
                 i = at.get(m)
                 if i is None:
                     # a column of G becomes a list; a wide call's tail never predicts
-                    ga, gb, gc = ((None,) * 3 if ends is None else
+                    ga, gb, gc = ((None,) * 3 if at_t is None else
                                   [G[:, g].tolist() if type(g) is int else g for g in (ga, gb, gc)])
                     nxt.append([a, b, c, fl, n, ga, gb, gc, r, col])
                     break
@@ -500,10 +579,12 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle, ends):
                     c, gc, a, ga, fl = a, ga, m, i, F[i]
                 if not (b - a > tol * b or settle and fl < -BOUNDARY_TOL):
                     t_lo[r] = a
+                    if at_t is not None:
+                        at_t[r] = G[:, ga].tolist() if type(ga) is int else ga
                     break
             else:
                 still_open.append(r)
-        live = nxt
+        live, ats = nxt, None
     return still_open
 
 
@@ -528,7 +609,7 @@ def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:
     # the directions are built in the (n, k) layout the kernel reads, so it
     # needs no copy of its own
     Dt = np.subtract(X[nonzero].T, x0[:, None], order="C")
-    t_star, ray_ok = _boundary_crossings(cons, x0, Dt.T)
+    t_star, ray_ok, _ = _boundary_crossings(cons, x0, Dt.T)
     phi[nonzero] = np.where(ray_ok, 1.0 / np.maximum(t_star, 1e-300), 0.0)
     ok[nonzero] = ray_ok
     return phi, ok

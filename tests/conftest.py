@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import (
     assert_same_crossings,
+    assert_values_at_crossings,
     make_circle,
     make_nonconvex_circle,
     make_thin,
@@ -39,7 +40,8 @@ def _verify_every_lp_solve(monkeypatch):
 @pytest.fixture(autouse=True)
 def _verify_every_boundary_crossing(monkeypatch):
     """Test mode: every call of the ray-crossing kernel anywhere in the suite
-    is checked against one halving per evaluation."""
+    is checked against one halving per evaluation, and the values it hands
+    back at each crossing against an evaluation of that point."""
     import gaugecut.separation as sep
 
     original = sep._boundary_crossings
@@ -52,6 +54,7 @@ def _verify_every_boundary_crossing(monkeypatch):
         a = a.arguments
         expect = reference_boundary_crossings(a["cons"], a["x0"], a["D"], a["tol"], a["settle"])
         assert_same_crossings(got, expect)
+        assert_values_at_crossings(a["cons"], a["x0"], a["D"], got)
         return got
 
     monkeypatch.setattr(sep, "_boundary_crossings", checked)

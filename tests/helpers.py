@@ -23,7 +23,8 @@ from gaugecut import (
     lp_solve,
 )
 from gaugecut.expr import Add, Const, Div, EvalResult, Func, Mul, Neg, Pow, Sub, Var, render
-from gaugecut.separation import _BISECTIONS, _DOUBLINGS, BOUNDARY_TOL
+from gaugecut.model import constraint_values as _REFERENCE_VALUES
+from gaugecut.separation import _BISECTIONS, _DOUBLINGS, _ROUND_POINTS, BOUNDARY_TOL
 from gaugecut.separation import _fmax_rows as _REFERENCE_FMAX
 
 
@@ -270,11 +271,31 @@ def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False, counts=No
 
 
 def assert_same_crossings(got, expect):
-    """The same ``ok`` and, where ``ok``, bit-identical crossings."""
-    t, ok = got
+    """The same ``ok`` and, where ``ok``, bit-identical crossings; ``got``
+    may carry more after its pair ``(t*, ok)``."""
+    t, ok = got[:2]
     t_ref, ok_ref = expect
     assert np.array_equal(ok, ok_ref)
     assert t[ok].tobytes() == t_ref[ok].tobytes()
+
+
+def assert_values_at_crossings(cons, x0, D, got):
+    """The values a kernel call hands back: for a call of 1 to 21 rows, each
+    ``ok`` row's per-constraint values at ``t*``, bit for bit those of
+    ``constraint_values(cons, t* * d + x0)``, and ``None`` for any other
+    row; any other call hands back none."""
+    t, ok, at_t = got
+    k = D.shape[0]
+    if not 0 < k <= _ROUND_POINTS // 3:
+        assert at_t is None
+        return
+    assert len(at_t) == k
+    for r in range(k):
+        if not ok[r]:
+            assert at_t[r] is None
+            continue
+        expect = _REFERENCE_VALUES(cons, t[r] * D[r] + x0)
+        assert np.array(at_t[r]).tobytes() == expect.tobytes()
 
 
 def kelley_on_gauge(p: Problem, cfg: SolverConfig) -> tuple[int, int, float]:

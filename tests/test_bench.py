@@ -116,3 +116,21 @@ def test_record_keeps_failed_runs(tmp_path):
     assert lines[:2] == ["parent esh-solve seed 1 run 0: exit code 1, stderr ends 'boom'",
                          "change esh-solve seed 1 run 0: exit code 0, stderr ends ''"]
     assert [line.split(":")[0] for line in lines[2:]] == ["parent signatures", "change signatures"]
+
+
+def test_compare_pools_the_seeds_of_a_workload(tmp_path):
+    # seed 1 alone: change won 2 of 3; seed 2 alone: 3 of 3; together 5 of 6
+    parent = _runs(0, 1, [_result(c) for c in (4.0, 4.4, 4.2)])
+    parent += _runs(0, 2, [_result(c) for c in (3.0, 3.2, 3.1)])
+    change = _runs(1, 1, [_result(c) for c in (3.9, 4.5, 4.1)])
+    change += _runs(1, 2, [_result(c) for c in (2.9, 3.0, 3.0)])
+    sides = [{"commit": "a", "signatures": None}, {"commit": "b", "signatures": None}]
+    lines = _compare(_write(tmp_path / "BENCH_seeds.json", sides, parent + change))
+    assert [line.split(" item_cost")[0] for line in lines if "item_cost" in line] == [
+        "esh-solve seed 1", "esh-solve seed 2", "esh-solve all seeds"]
+    assert lines[-2:] == [
+        "esh-solve all seeds item_cost: parent 3.6 (IQR 1.03, 6 runs), change 3.45 (6 runs), "
+        "change won 5 and lost 1 of 6 pairs",
+        "esh-solve all seeds pass_rate: parent 1 (IQR 0, 6 runs), change 1 (6 runs), "
+        "change won 0 and lost 0 of 6 pairs",
+    ]

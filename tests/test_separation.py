@@ -27,6 +27,7 @@ from gaugecut.separation import _boundary_crossings  # bound before any test pat
 
 from helpers import (
     assert_same_crossings,
+    assert_values_at_crossings,
     make_annulus,
     make_ball_exp,
     make_circle,
@@ -159,11 +160,11 @@ def test_line_search_evaluation_budget(monkeypatch):
     monkeypatch.setattr(separation, "constraint_values", counting(separation.constraint_values))
     monkeypatch.setattr(separation, "max_violation", counting(separation.max_violation))
     gr = line_search_boundary(make_circle().constraints, ORIGIN, [1.5, 1.5])
-    # x0 and xbar together, then about 30 halvings in three rounds of at
-    # most _ROUND_POINTS midpoints; one constraint needs no evaluation for
-    # the active set
-    assert len(calls) <= 4
-    assert calls[0] == 2 and max(calls) <= separation._ROUND_POINTS
+    # xbar, x0 and the 31-point tree of the first five halvings together,
+    # then about 25 halvings in two rounds of at most _ROUND_POINTS
+    # midpoints; one constraint needs no evaluation for the active set
+    assert len(calls) <= 3
+    assert calls[0] == 33 and max(calls) <= separation._ROUND_POINTS
     assert gr.lambda_star.hex() == "0x1.e2b7dddc00000p-2"
 
 
@@ -188,10 +189,14 @@ def test_gauge_values_checks_x0_in_the_first_evaluation(monkeypatch):
     points = np.array([[1.5, 1.5], [0.0, 0.1], [-3.0, 2.0]])
     batches = _count_evaluations(monkeypatch, "constraint_values")
     phi, ok = gauge_values(p.constraints, x0, points)
-    # the first ends x0 + 1.0 * d, then x0 as one more row
+    # the first ends x0 + 1.0 * d, then x0 as one more row, then each ray's
+    # tree of four halvings of [0, 1], at the points t * d + x0
     first = batches[0]
-    assert first.shape == (4, 2)
+    assert first.shape == (4 + 3 * 15, 2)
     assert np.array_equal(first[:3], (points - x0) + x0) and np.array_equal(first[3], x0)
+    tree = np.arange(1, 16) / 16  # the halvings' midpoints, all exact
+    expect = tree[None, :, None] * (points - x0)[:, None, :] + x0
+    assert np.array_equal(first[4:], expect.reshape(-1, 2))
     assert ok.all() and np.all((phi > 1.0) == [True, False, True])
 
     batches.clear()
@@ -208,6 +213,38 @@ def test_check_supporting_evaluates_only_the_cut_point(monkeypatch):
     assert not verdict.supporting
     assert abs(verdict.max_violation_gap - (11.0 / 6.0 - SQRT2)) <= 1e-6
     assert [b.tolist() for b in batches] == [[[1.5, 1.5]]]
+
+
+def test_line_search_takes_the_active_set_from_the_kernel(monkeypatch):
+    # ball+exp has two constraints: the values at the boundary point come
+    # from the kernel's own evaluation of it, and nothing evaluates after it
+    p = make_ball_exp()
+    cfg = SolverConfig()
+    batches = _count_evaluations(monkeypatch, "constraint_values")
+    at_return = []
+
+    def kernel(*args, **kwargs):
+        got = _boundary_crossings(*args, **kwargs)
+        at_return.append(len(batches))
+        return got
+
+    monkeypatch.setattr(separation, "_boundary_crossings", kernel)
+    actives = set()
+    for xbar in _rays(p, 20, seed=9):
+        batches.clear()
+        at_return.clear()
+        gr = line_search_boundary(p.constraints, p.interior_point, xbar, cfg)
+        assert at_return == [len(batches)]
+        g = constraint_values(p.constraints, gr.boundary_point)
+        assert gr.active_set == tuple(j for j in range(2) if g[j] >= -cfg.activity_tol)
+        actives.add(gr.active_set)
+    assert actives == {(0,), (1,)}
+
+
+@pytest.mark.parametrize("xbar", [[math.nan, 0.0], [math.inf, 0.0]])
+def test_line_search_rejects_a_point_to_separate_that_is_not_finite(xbar):
+    with pytest.raises(PreconditionError, match="point to separate is not finite"):
+        line_search_boundary(make_circle().constraints, ORIGIN, xbar)
 
 
 def test_every_line_search_round_runs_on_the_blocked_tape():
@@ -255,6 +292,23 @@ def test_boundary_crossings_match_one_halving_per_evaluation(name, rows, settle)
     got = _boundary_crossings(p.constraints, x0, D, tol=tol, settle=settle)
     assert_same_crossings(got, reference_boundary_crossings(p.constraints, x0, D, tol, settle))
     assert got[1].any()
+
+
+@pytest.mark.parametrize("settle", [False, True])
+@pytest.mark.parametrize("rows,first", [(0, 1), (21, 43)])
+def test_boundary_crossings_at_the_ends_of_the_narrow_range(monkeypatch, rows, first, settle):
+    # no rows: x0 alone, with no tree; 21 rows: the first ends, x0 and a
+    # tree of one halving per row
+    p = make_ball_exp()
+    x0 = p.interior_point
+    D = _rays(p, rows, seed=2)
+    tol = 1e-9 if settle else 1e-13
+    ref = reference_boundary_crossings(p.constraints, x0, D, tol, settle)
+    sizes = _count_kernel_evaluations(monkeypatch)  # after the reference's evaluations
+    got = _boundary_crossings(p.constraints, x0, D, tol=tol, settle=settle)
+    assert_same_crossings(got, ref)
+    assert_values_at_crossings(p.constraints, x0, D, got)
+    assert sizes[0] == first and len(got[0]) == rows and got[1].all()
 
 
 @pytest.mark.parametrize("settle", [False, True])
@@ -383,8 +437,25 @@ def test_a_domain_edge_end_gets_the_full_tree(monkeypatch, settle):
     sizes = _count_kernel_evaluations(monkeypatch)  # after the reference's evaluations
     got = _boundary_crossings(p.constraints, p.interior_point, D, tol=tol, settle=settle)
     assert_same_crossings(got, ref)
-    # six halvings in 63 points, after which both ends are finite and predict
-    assert sizes[:3] == [2, 63, 64]
+    # the first evaluation's tree of five halvings, as every first round
+    # from [0, 1], after which both ends are finite and predict
+    assert sizes[:3] == [33, 64, 64]
+
+
+@pytest.mark.parametrize("settle", [False, True])
+def test_a_domain_edge_end_reached_by_doubling_gets_the_full_tree(monkeypatch, settle):
+    # from (5, 5) toward (-0.7, -0.7) times t: feasible at t = 1, 2 and 4,
+    # outside log's domain at t = 8, where the bracket [4, 8] has no
+    # prediction and its first round is the full tree of six halvings
+    p = make_log()
+    D = np.array([[-0.7, -0.7]])
+    tol = 1e-9 if settle else 1e-13
+    ref = reference_boundary_crossings(p.constraints, p.interior_point, D, tol, settle)
+    sizes = _count_kernel_evaluations(monkeypatch)  # after the reference's evaluations
+    got = _boundary_crossings(p.constraints, p.interior_point, D, tol=tol, settle=settle)
+    assert_same_crossings(got, ref)
+    assert 4.0 < got[0][0] < 8.0
+    assert sizes[:6] == [33, 1, 1, 1, 63, 64]
 
 
 @pytest.mark.parametrize("settle", [False, True])
@@ -420,8 +491,10 @@ def test_rays_that_double_predict_from_the_doubling_values(monkeypatch, settle, 
     assert_same_crossings(got, ref)
     assert np.all(got[0] > 16.0)
     if rows == 1:  # the first round already follows a predicted path
+        # the first evaluation's tree goes unused: the first end is feasible
         doublings = sizes.count(1)
-        assert doublings >= 5 and sizes[1 + doublings] == separation._ROUND_POINTS
+        assert doublings >= 5
+        assert sizes[:2 + doublings] == [33] + [1] * doublings + [separation._ROUND_POINTS]
 
 
 @pytest.mark.parametrize("settle", [False, True])
