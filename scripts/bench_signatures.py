@@ -8,11 +8,14 @@ The first form runs every item of each workload in ``perfbench/workloads.py``
 each item's ``Outcome.signature`` next to the signature itself (status,
 iterations, cuts and objective in hex per solve).  For ``verify`` it also
 writes the SHA-1 of the ``phi`` and ``ok`` arrays of every ``gauge_values``
-grid.  ``--root`` points at another source checkout, so that two commits can
-be compared from one place.  The second form prints the items whose hashes
-differ, split into structural differences (status, iterations, cuts or any
-other entry) and objective-only ones with their largest relative objective
-difference, and exits with 1 when any differ.
+grid and, per item, every ``gauge_subgradient_check`` and
+``check_supporting`` verdict in call order.  ``--root`` points at another
+source checkout, so that two commits can be compared from one place.  The
+second form prints the items whose hashes differ, split into structural
+differences (status, iterations, cuts or any other entry) and objective-only
+ones with their largest relative objective difference, then the grids and
+the items whose verdicts differ (files written without verdicts compare
+without them), and exits with 1 when any differ.
 """
 
 from __future__ import annotations
@@ -55,25 +58,46 @@ def _signatures(root: Path, workloads, seeds, seconds: float) -> dict:
     from workloads import WORKLOADS
 
     grids: list[str] = []
+    verdicts: list[list] = []  # per item, its verdicts in call order
     gauge_values = gaugecut.gauge_values
+    subgradient_check = gaugecut.gauge_subgradient_check
+    check_supporting = gaugecut.check_supporting
 
     def recorded(*args, **kwargs):
         phi, ok = gauge_values(*args, **kwargs)
         grids.append(_sha1(phi.tobytes() + ok.tobytes()))
         return phi, ok
 
-    gaugecut.gauge_values = recorded  # the workloads look it up on gaugecut
+    def subgradient(*args, **kwargs):
+        good = subgradient_check(*args, **kwargs)
+        verdicts[-1].append(["subgradient", bool(good)])
+        return good
+
+    def supporting(*args, **kwargs):
+        verdict = check_supporting(*args, **kwargs)
+        verdicts[-1].append(["supporting", bool(verdict.supporting)])
+        return verdict
+
+    # the workloads look these up on gaugecut
+    gaugecut.gauge_values = recorded
+    gaugecut.gauge_subgradient_check = subgradient
+    gaugecut.check_supporting = supporting
     out: dict = {}
     for name in workloads:
         for seed in seeds:
             wl = WORKLOADS[name](seed, seconds)
             wl.prepare()
             grids.clear()
-            raw = [wl.run(item).signature for item in wl.items]
+            verdicts.clear()
+            raw = []
+            for item in wl.items:
+                verdicts.append([])
+                raw.append(wl.run(item).signature)
             out.setdefault(name, {})[str(seed)] = {
                 "items": [_sha1(repr(sig).encode()) for sig in raw],
                 "raw": json.loads(json.dumps(raw)),  # tuples become lists
                 "grids": list(grids),
+                "verdicts": list(verdicts),
             }
     env = {"python": platform.python_version(), "numpy": np.__version__}
     return {"environment": env, "commit": _commit(root), "seconds": seconds, "signatures": out}
@@ -142,7 +166,8 @@ def _item_lines(where: str, ra: dict, rb: dict) -> list[str]:
 
 def compare(a: dict, b: dict) -> list[str]:
     """One line per workload, seed and kind of difference: structural items,
-    objective-only items with their largest relative difference, and grids."""
+    objective-only items with their largest relative difference, grids, and
+    items whose verdicts differ where both files hold verdicts."""
     lines = []
     sa, sb = a["signatures"], b["signatures"]
     for name in sorted(set(sa) | set(sb)):
@@ -158,6 +183,10 @@ def compare(a: dict, b: dict) -> list[str]:
                 lines.append(f"{name} seed {seed}: {len(xa)} grids against {len(xb)}")
             if differ:
                 lines.append(f"{name} seed {seed}: grids {differ} differ")
+            va, vb = ra.get("verdicts"), rb.get("verdicts")
+            differ = [i for i, (p, q) in enumerate(zip(va or [], vb or [])) if p != q]
+            if differ:
+                lines.append(f"{name} seed {seed}: verdicts of items {differ} differ")
     return lines
 
 

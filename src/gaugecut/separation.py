@@ -88,6 +88,10 @@ _BISECTIONS = 100  # halvings per row
 _ROUND_POINTS = 64
 # Rows bisected together; bounds the size of a round's arrays
 _BLOCK_ROWS = 8192
+# What a wide halving adds to its midpoint for the new hi and lo, by whether
+# max_j g_j > 0 there: +inf or -inf leaves that end as it was (see _bisect)
+_TO_HI = np.array([math.inf, 0.0])
+_TO_LO = np.array([0.0, -math.inf])
 
 _SUPPORT_TOL = 1e-7
 # box doublings of check_supporting's search; 2^30 times the first box
@@ -319,7 +323,8 @@ def _constraint_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
 
 def _fmax_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
     """``max_j g_j`` at each row of ``P``, ``+inf`` outside a domain."""
-    return _constraint_rows(cons, P).max(axis=0)
+    G = _constraint_rows(cons, P)
+    return G[0] if len(G) == 1 else G.max(axis=0)
 
 
 def _boundary_crossings(
@@ -480,7 +485,15 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle):
     # Dt[:, r] is row r's direction, and a round's points are the transpose
     # of an (n, N) array: numpy builds and evaluates its contiguous
     # coordinates much faster than the strided columns of an (N, n) one, and
-    # its elementwise functions give the same values in either layout
+    # its elementwise functions give the same values in either layout.
+    # A halving moves hi or lo to mid by min and max, not np.where: on a grid
+    # the sign of fm is a fair coin per ray, so np.where's per-element branch
+    # mispredicts about half the time (on a 4-D grid, the two np.where calls
+    # took about 85 us of a 320 us halving of 8192 rows; min and max take
+    # 45).  The result is the same: 0 < mid, lo <= mid <= hi < inf and fm is
+    # never NaN (a row outside a domain reads +inf), so min(hi, mid + 0.0) is
+    # mid, min(hi, mid + inf) hi, max(lo, mid + 0.0) mid and max(lo, mid -
+    # inf) lo.  f_lo keeps np.where: only a line search, one ray, settles
     lo, hi, Dt = t_lo[rows], t_hi[rows], Dt.take(rows, axis=1)
     f_lo = np.full(rows.size, -math.inf)  # unknown until a halving lands inside
     done = 0
@@ -488,9 +501,9 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle):
         done += 1
         mid = 0.5 * (lo + hi)
         fm = _fmax_rows(cons, _ray_points(x0, mid, Dt))
-        above = fm > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+        above = (fm > 0.0).view(np.uint8)
+        hi = np.minimum(hi, mid + _TO_HI.take(above))
+        lo = np.maximum(lo, mid + _TO_LO.take(above))
         keep = hi - lo > tol * hi
         if settle:
             f_lo = np.where(above, f_lo, fm)
@@ -789,7 +802,10 @@ def gauge_subgradient_check(
     Sample points whose gauge cannot be bracketed (rays that never exit the
     set) are skipped with a warning.  ``sample_gauges`` can carry precomputed
     ``gauge_values(constraints, x0, sample_points)`` output to amortize grids
-    across many cuts.
+    across many cuts: ``(phi, ok)``, each of shape ``(N,)`` for ``N`` sample
+    points, else :class:`ValueError`.  The inequality is checked in blocks of
+    ``_BLOCK_ROWS`` samples, so a grid costs no grid-sized temporaries, and
+    the first block with a violation decides.
     """
     cons = as_constraints(constraints)
     x0 = np.asarray(x0, dtype=float)
@@ -819,6 +835,11 @@ def gauge_subgradient_check(
         phi, ok = sample_gauges
         phi = np.asarray(phi, dtype=float)
         ok = np.asarray(ok, dtype=bool)
+        if phi.shape != X.shape[:1] or ok.shape != X.shape[:1]:
+            raise ValueError(
+                f"sample_gauges must have shape ({X.shape[0]},) for {X.shape[0]} sample "
+                f"points; phi has shape {phi.shape} and ok {ok.shape}"
+            )
     skipped = int(np.count_nonzero(~ok))
     if skipped:
         warnings.warn(
@@ -829,6 +850,10 @@ def gauge_subgradient_check(
     if not hat_ok[0]:
         raise SeparationError("gauge of the support point could not be evaluated")
     phi_hat = float(phi_hat_arr[0])
-    Y = X - x0
-    lhs = phi_hat + Y @ alpha_hat - float(alpha_hat @ yhat)
-    return bool(np.all(lhs[ok] <= phi[ok] + tol))
+    at_hat = float(alpha_hat @ yhat)
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        b = slice(start, start + _BLOCK_ROWS)
+        lhs = phi_hat + (X[b] - x0) @ alpha_hat - at_hat
+        if not np.all((lhs <= phi[b] + tol) | ~ok[b]):
+            return False
+    return True

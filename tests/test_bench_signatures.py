@@ -40,6 +40,32 @@ def test_signatures_repeat_and_compare(tmp_path):
     assert done.stdout.strip() == "bnb-kelley seed 1: items [1] differ"
 
 
+def test_verify_verdicts_are_recorded_and_compared(tmp_path):
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    done = _run("--out", a, "--workloads", "verify", "--seeds", "1", "--seconds", "1")
+    assert done.returncode == 0, done.stderr
+    sig = json.loads(a.read_text())
+    verdicts = sig["signatures"]["verify"]["1"]["verdicts"]
+    assert len(verdicts) == len(sig["signatures"]["verify"]["1"]["items"])
+    kinds = [kind for item in verdicts for kind, _ in item]
+    assert set(kinds) == {"subgradient", "supporting"}
+    assert all(type(good) is bool for item in verdicts for _, good in item)
+
+    changed = copy.deepcopy(sig)
+    i = next(i for i, item in enumerate(verdicts) if item)
+    changed["signatures"]["verify"]["1"]["verdicts"][i][-1][1] ^= True
+    b.write_text(json.dumps(changed))
+    done = _run("--compare", a, b)
+    assert done.returncode == 1
+    assert done.stdout.strip() == f"verify seed 1: verdicts of items [{i}] differ"
+
+    # a file written before verdicts were recorded compares as before
+    del changed["signatures"]["verify"]["1"]["verdicts"]
+    c.write_text(json.dumps(changed))
+    assert _run("--compare", a, c).returncode == 0
+    assert _run("--compare", c, b).returncode == 0
+
+
 def _signature_file(path, raw):
     items = [hashlib.sha1(json.dumps(r).encode()).hexdigest() for r in raw]
     path.write_text(json.dumps(

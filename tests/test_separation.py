@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +344,68 @@ def test_boundary_crossings_budget_counts_halvings(settle):
     ref = reference_boundary_crossings(p.constraints, ORIGIN, D, 1e-13, settle)
     assert_same_crossings(got, ref)
     assert got[1].tolist() == [True, False]
+
+
+def _unit_rays(count, seed, spread=math.pi, toward=0.0):
+    """``count`` unit directions at angles within ``spread`` of ``toward``."""
+    angle = toward + np.random.default_rng(seed).uniform(-spread, spread, count)
+    return np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+
+def _wide_doubling():
+    # crossings at t = 1 / |d| between 2^30 and 2^40: 31 to 41 doublings
+    D = _unit_rays(24, 11) * 2.0 ** -np.random.default_rng(12).uniform(30.5, 40.0, (24, 1))
+    return make_circle(), D, 1e-13, lambda t, ok: ok.all() and (t > 2.0 ** 30).all()
+
+
+def _wide_tiny():
+    # crossings at t = 1e-15 (93 halvings to a relative width of 1e-13) and
+    # about 1e-20 (109, over the budget of 100)
+    D = _unit_rays(26, 13) * np.r_[[1e15] * 4, np.geomspace(1e19, 1e21, 22)][:, None]
+    return make_circle(), D, 1e-13, lambda t, ok: ok.tolist() == [True] * 4 + [False] * 22
+
+
+def _wide_log():
+    # every first end lies outside log's domain; so do many midpoints
+    rng = np.random.default_rng(14)
+    D = -rng.uniform(5.5, 40.0, (30, 2)) * np.where(rng.random((30, 1)) < 0.5, [1.0, -0.2], 1.0)
+    p = make_log()
+    ends = separation._fmax_rows(p.constraints, p.interior_point + D)
+    return p, D, 1e-13, lambda t, ok: np.isinf(ends).all() and ok.all()
+
+
+def _wide_annulus():
+    # from (1.5, 0) across the hole: the first end lies in the far side of
+    # the ring, so the ray left the set, re-entered it and doubles past it
+    D = _unit_rays(24, 15, spread=0.3, toward=math.pi) * 3.0
+    p = make_annulus()
+    far = p.interior_point + D
+    return p, D, 1e-13, lambda t, ok: ok.all() and (t > 1.0).all() and (far[:, 0] < 0).all()
+
+
+def _wide_tol0():
+    # tol = 0: the brackets shrink to adjacent floats within about 55
+    # halvings; each midpoint after that rounds onto one of its ends, which
+    # keeps its side, so no row closes within the budget
+    D = _unit_rays(40, 16) * np.random.default_rng(17).uniform(1.5, 8.0, (40, 1))
+    return make_circle(), D, 0.0, lambda t, ok: not ok.any()
+
+
+WIDE_EXTREMES = {"doubling": _wide_doubling, "tiny": _wide_tiny, "log": _wide_log,
+                 "annulus": _wide_annulus, "tol0": _wide_tol0}
+
+
+@pytest.mark.parametrize("settle", [False, True])
+@pytest.mark.parametrize("name", sorted(WIDE_EXTREMES))
+def test_wide_calls_at_the_bracket_extremes(name, settle):
+    # 22 or more rays, so the kernel halves them on arrays, with lo <= mid <=
+    # hi as the only premise of its branch-free bracket update
+    p, D, tol, expected = WIDE_EXTREMES[name]()
+    x0 = p.interior_point
+    assert 3 * D.shape[0] > separation._ROUND_POINTS
+    got = _boundary_crossings(p.constraints, x0, D, tol=tol, settle=settle)
+    assert_same_crossings(got, reference_boundary_crossings(p.constraints, x0, D, tol, settle))
+    assert expected(got[0], got[1])
 
 
 # ---------------------------------------------------------------------------
@@ -986,3 +1050,39 @@ def test_gauge_subgradient_check_shifted_frame():
     cut = esh_cut(cons, gr)[0]
     grid = _grid2d() + x0
     assert gauge_subgradient_check(cons, x0, cut, grid) is True
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (2,), (4,)])
+def test_gauge_subgradient_check_rejects_sample_gauges_of_another_shape(shape):
+    # a (3, 1) phi would compare every sample with every gauge; a shorter
+    # or longer one does not belong to the samples
+    cons = make_circle().constraints
+    cut = Cut(np.array([1.0, 0.0]), 1.0, origin="esh", point=np.array([1.0, 0.0]))
+    samples = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+    phi = np.ones(shape)
+    with pytest.raises(ValueError, match=re.escape(f"phi has shape {shape} and ok (3,)")):
+        gauge_subgradient_check(cons, ORIGIN, cut, samples, sample_gauges=(phi, np.ones(3, bool)))
+    with pytest.raises(ValueError, match=re.escape(f"phi has shape (3,) and ok {shape}")):
+        gauge_subgradient_check(cons, ORIGIN, cut, samples,
+                                sample_gauges=(np.ones(3), np.ones(shape, bool)))
+
+
+@pytest.mark.parametrize("ok_there", [True, False])
+@pytest.mark.parametrize("where", [0, -3])  # the first block, the last, partial one
+def test_gauge_subgradient_check_in_blocks(where, ok_there):
+    cons = make_circle().constraints
+    count = 2 * separation._BLOCK_ROWS + 5
+    X = np.random.default_rng(18).uniform(-2.0, 2.0, (count, 2))
+    xhat = np.array([1.0, 0.0])
+    cut = Cut(np.array([1.0, 0.0]), 1.0, origin="esh", point=xhat)
+    phi, ok = np.hypot(X[:, 0], X[:, 1]), np.ones(count, bool)  # the disk's gauge about 0
+    phi[where] = X[where, 0] - 0.5  # the one sample below the cut's gauge bound
+    ok[where] = ok_there
+    with warnings.catch_warnings(record=True) as skipped:
+        warnings.simplefilter("always")
+        got = gauge_subgradient_check(cons, ORIGIN, cut, X, sample_gauges=(phi, ok))
+    assert len(skipped) == (not ok_there)
+    phi_hat = gauge_values(cons, ORIGIN, xhat[None, :])[0][0]
+    lhs = phi_hat + X @ cut.alpha - float(cut.alpha @ xhat)  # alpha^T yhat = 1
+    assert got is bool(np.all(lhs[ok] <= phi[ok] + 1e-7))
+    assert got is (not ok_there)
