@@ -11,13 +11,17 @@ JSON is kept as its exit code and the tail of its stderr, and so is a
 checkout whose signatures could not be written.  Given two checkouts it
 runs them in pairs, the first ``--root`` as the parent and the second as the
 change, and alternates which side runs first from one pair to the next.  The file also records the
-environment (Python, numpy, core count and each checkout's ``git rev-parse
-HEAD``) and each checkout's result signatures from ``bench_signatures.py``.
+environment (Python, numpy, core count, ``PYTHONDONTWRITEBYTECODE``, and each
+checkout's ``git rev-parse HEAD`` and ``src/`` byte count) and each checkout's result signatures from ``bench_signatures.py``.
 
 The second form prints, per workload, seed and metric, the median of the
 parent's and the change's runs, the interquartile range of the parent's runs,
 and the pairs the change won (ties count for neither side), and the same over
-all seeds of a workload run on more than one; then any runs
+all seeds of a workload run on more than one, where the range is that of each
+parent run's difference from its own seed's parent median; beside ``setup_s``
+it prints each side's ``src/`` bytes and ``PYTHONDONTWRITEBYTECODE``, where
+the file records them (set-ups compile ``src/`` when no bytecode is written);
+then any runs
 that failed, were not correct or failed operations, and any signatures that
 are missing through a failure or differ.  It exits 1 if there are such runs
 or signatures, and 0 otherwise.
@@ -94,6 +98,23 @@ def _dirty(root: Path) -> bool | None:
     return bool(done.stdout.strip())
 
 
+def _src_bytes(root: Path) -> int:
+    """The bytes of the Python files under ``root/src``: without written
+    bytecode, each set-up compiles them, so ``setup_s`` grows with them."""
+    return sum(p.stat().st_size for p in (root / "src").rglob("*.py"))
+
+
+def _setup_note(data: list[dict]) -> str:
+    """``src/`` bytes of the parent and the change, and whether bytecode was
+    written, as far as the files record them."""
+    parent, change = data[0]["sides"][0], data[-1]["sides"][-1]
+    env = data[-1].get("environment", {})
+    if "src_bytes" not in parent and "src_bytes" not in change:
+        return ""
+    return (f"; src bytes parent {parent.get('src_bytes')}, change {change.get('src_bytes')}, "
+            f"PYTHONDONTWRITEBYTECODE={env.get('PYTHONDONTWRITEBYTECODE')}")
+
+
 def record(roots: list[Path], workloads, seeds: str, repeat: int, seconds: float) -> dict:
     runs = []
     for workload in workloads:
@@ -109,10 +130,11 @@ def record(roots: list[Path], workloads, seeds: str, repeat: int, seconds: float
                     shown = (f"item_cost {result['metrics']['item_cost']['value']:.4g}"
                              if "metrics" in result else f"exit code {result['exit_code']}")
                     print(f"{workload} seed {seed} run {k} side {side}: {shown}", file=sys.stderr)
-    sides = [{"commit": _commit(r), "dirty": _dirty(r),
+    sides = [{"commit": _commit(r), "dirty": _dirty(r), "src_bytes": _src_bytes(r),
               "signatures": _signatures(r, workloads, seeds, seconds)} for r in roots]
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "cores": os.cpu_count(), "machine": platform.machine()}
+           "cores": os.cpu_count(), "machine": platform.machine(),
+           "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
     settings = {"seconds": seconds, "trace": 0, "seeds": seeds, "repeat": repeat}
     return {"environment": env, "settings": settings, "sides": sides, "runs": runs}
 
@@ -142,17 +164,31 @@ def _describe_failure(result: dict) -> str:
     return f"exit code {result['exit_code']}, stderr ends {tail[0] if tail else ''!r}"
 
 
-def _metric_lines(label: str, a: dict, b: dict, better: dict) -> list[str]:
+def _noise(a: dict, metric: str) -> list[float]:
+    """Each of the parent's runs ``a`` less the median of its own seed's
+    runs: spread about the seed medians is run-to-run noise, whereas the
+    values of several seeds spread with how the seeds' costs differ."""
+    by_seed: dict = {}
+    for (_, seed, _), r in a.items():
+        if metric in r["metrics"]:
+            by_seed.setdefault(seed, []).append(r["metrics"][metric]["value"])
+    return [v - statistics.median(vs) for vs in by_seed.values() for v in vs]
+
+
+def _metric_lines(label: str, a: dict, b: dict, better: dict, note: str = "") -> list[str]:
     """Per metric, a line on the parent's runs ``a`` and the change's runs
     ``b`` (results keyed by workload, seed and pair): each side's median,
-    the parent's interquartile range and the pairs the change won and lost."""
+    the parent's interquartile range and the pairs the change won and lost.
+    Over several seeds the range is that of :func:`_noise`.  ``note`` is
+    added to the ``setup_s`` line."""
     lines = []
+    pooled = len({k[1] for k in a}) > 1
     for metric in sorted({m for r in [*a.values(), *b.values()] for m in r["metrics"]}):
         pa = [r["metrics"][metric]["value"] for r in a.values() if metric in r["metrics"]]
         pb = [r["metrics"][metric]["value"] for r in b.values() if metric in r["metrics"]]
         if not pa or not pb:
             continue
-        q1, q3 = _quartiles(pa)
+        q1, q3 = _quartiles(_noise(a, metric))
         sign = -1.0 if better.get(metric, "lower") == "lower" else 1.0
         pairs = [(a[k]["metrics"][metric]["value"], b[k]["metrics"][metric]["value"])
                  for k in sorted(a) if k in b and metric in b[k]["metrics"]]
@@ -160,18 +196,20 @@ def _metric_lines(label: str, a: dict, b: dict, better: dict) -> list[str]:
         lost = sum(sign * (y - x) < 0 for x, y in pairs)
         lines.append(
             f"{label} {metric}: parent {statistics.median(pa):.4g}"
-            f" (IQR {q3 - q1:.3g}, {len(pa)} runs), change {statistics.median(pb):.4g}"
-            f" ({len(pb)} runs), change won {won} and lost {lost} of {len(pairs)} pairs")
+            f" (IQR{' about seed medians' if pooled else ''} {q3 - q1:.3g}, {len(pa)} runs),"
+            f" change {statistics.median(pb):.4g} ({len(pb)} runs), change won {won} and lost"
+            f" {lost} of {len(pairs)} pairs" + (note if metric == "setup_s" else ""))
     return lines
 
 
 def compare(parent: list[dict], change: list[dict],
-            signatures=(None, None)) -> tuple[list[str], bool]:
+            signatures=(None, None), note: str = "") -> tuple[list[str], bool]:
     """Report lines for the ``runs`` entries of the parent and the change, and
     whether every run ended with a correct result without failed operations,
     no side's signatures failed, and the signatures, where both sides have
     them, are equal.  A workload run on more than one seed also gets its
-    lines over all seeds, after those of each seed."""
+    lines over all seeds, after those of each seed.  ``note`` is added to
+    each ``setup_s`` line."""
     better = _directions()
     runs = {"parent": _by_key(parent), "change": _by_key(change)}
     a, b = ({k: r for k, r in side.items() if "metrics" in r} for side in runs.values())
@@ -186,10 +224,10 @@ def compare(parent: list[dict], change: list[dict],
         seeds = sorted({k[1] for k in [*a, *b] if k[0] == workload})
         for seed in seeds:
             lines += _metric_lines(f"{workload} seed {seed}",
-                                   *pick(lambda k: k[:2] == (workload, seed)), better)
+                                   *pick(lambda k: k[:2] == (workload, seed)), better, note)
         if len(seeds) > 1:
             lines += _metric_lines(f"{workload} all seeds", *pick(lambda k: k[0] == workload),
-                                   better)
+                                   better, note)
     clean = True
     for name, side in runs.items():
         for (workload, seed, k), r in sorted(side.items()):
@@ -234,7 +272,7 @@ def main(argv=None) -> int:
         if len(data) == 1 and len(data[0]["sides"]) != 2:
             ap.error("one file to compare must hold two sides")
         (pa, sa), (pb, sb) = _side(data[0], 0), _side(data[-1], -1)
-        lines, clean = compare(pa, pb, (sa, sb))
+        lines, clean = compare(pa, pb, (sa, sb), _setup_note(data))
         print("\n".join(lines))
         return 0 if clean else 1
     roots = [r.resolve() for r in (args.root or [ROOT])]

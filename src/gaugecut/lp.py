@@ -43,6 +43,7 @@ never reports infeasibility unchecked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,7 +333,13 @@ class _DualSimplex:
             infeas = np.maximum(loB - xB, xB - hiB)
             worst = float(infeas.max(initial=0.0))
             if worst <= _PRIMAL_TOL:
-                return LpSolution("optimal", x, float(self.c @ x), self.pivots)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = float(self.c @ x)
+                if not math.isfinite(value):
+                    raise SimplexNumericalError(
+                        f"objective value {value} at an LP vertex: c^T x overflows the "
+                        "float range, so the variable bounds are too large")
+                return LpSolution("optimal", x, value, self.pivots)
             if self.pivots >= self.pivot_limit:
                 raise SimplexNumericalError(
                     f"pivot limit exceeded after {self.pivots} pivots; "

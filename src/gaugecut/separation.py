@@ -22,15 +22,17 @@ alpha^T x``.  :func:`gauge_values` evaluates the gauge at any points, for
 gauge subgradient inequality.  It and the line search share one ray-crossing
 kernel: bisection, one halving of every ray per evaluation while many rays
 are open, and for a few rays the midpoints of several halvings evaluated in
-one batch: a dyadic tree, and below it the path bisection takes if a
-per-constraint interpolation of the crossing is right.  For a few rays the
-first evaluation, of the first bracket ends and the interior point, also
-holds each ray's first tree, and the kernel hands back the per-constraint
-values at each crossing, from which the line search takes its active set.
-Each halving still decides on the value at its own midpoint, so each
-crossing is bit for bit the one that one halving per evaluation returns; the
-prediction only saves evaluations.  A point outside some ``g_j``'s domain
-lies outside ``C``.
+one batch: a dyadic tree in heap order, and below it the path bisection
+takes if a per-constraint interpolation of the crossing is right, which the
+replay walks by index.  For a few rays the first evaluation, of the first
+bracket ends and the interior point, also holds each ray's first tree, and
+the kernel hands back the per-constraint values at each crossing, from which
+the line search takes its active set.  The line search's first bracket end
+is the separated point itself, so ESH's oracle reads its violation from
+that evaluation and evaluates nothing else.  Each halving still decides on
+the value at its own midpoint, so each crossing is bit for bit the one that
+one halving per evaluation returns; the prediction only saves evaluations.
+A point outside some ``g_j``'s domain lies outside ``C``.
 
 :func:`affine_on_segment` and :func:`classify_quadratic` decide when plain
 linearization cuts happen to be supporting: exactly when the constraint is
@@ -113,21 +115,24 @@ def as_constraints(obj) -> tuple[Constraint, ...]:
 class GaugeResult:
     """Outcome of the boundary line search from an interior point.
 
-    ``boundary_point`` is ``interior_point + lambda_star * (separated_point -
-    interior_point)`` with ``|max_j g_j| <= BOUNDARY_TOL`` there, taken on the
-    feasible side.  ``gauge_value`` is ``1 / lambda_star``: the gauge of the
-    separated point in the frame centered at the interior point.
-    ``active_set`` lists the constraints active at the boundary point within
-    the activity tolerance (never empty: the attaining constraint is always
-    included).
+    ``violation`` is ``max_j g_j`` at the separated point (``inf`` outside
+    some ``g_j``'s domain).  ``boundary_point`` is ``interior_point +
+    lambda_star * (separated_point - interior_point)`` with ``|max_j g_j| <=
+    BOUNDARY_TOL`` there, on the feasible side; ``gauge_value = 1 /
+    lambda_star`` is the separated point's gauge about the interior point.
+    ``active_set`` lists the constraints active there within the activity
+    tolerance (never empty).  A search that stopped at ``violation <= eps``
+    (see :func:`line_search_boundary`) has no crossing: ``lambda_star``,
+    ``gauge_value`` and ``boundary_point`` are ``None``, ``active_set`` empty.
     """
 
-    lambda_star: float
-    gauge_value: float
-    boundary_point: np.ndarray
+    lambda_star: float | None
+    gauge_value: float | None
+    boundary_point: np.ndarray | None
     active_set: tuple[int, ...]
     interior_point: np.ndarray
     separated_point: np.ndarray
+    violation: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,40 +175,48 @@ def kelley_cut(g: ex.Expr, xbar, constraint_name: str | None = None) -> Cut:
     return Cut(res.gradient, beta, origin="kelley", constraint=constraint_name, point=xbar)
 
 
-def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None) -> GaugeResult:
+def line_search_boundary(
+    constraints, x0, xbar, cfg: SolverConfig | None = None, eps: float | None = None
+) -> GaugeResult:
     """Bisect ``max_j g_j`` to zero on the segment from the strict interior
     point ``x0`` to the infeasible ``xbar``.
 
     This is the gauge evaluation of :func:`gauge_values` for one ray, run to
     the relative bracket width ``cfg.line_search_tol`` and on until
-    ``max_j g_j >= -BOUNDARY_TOL`` at the returned point.  Bisection is used
-    on purpose: it needs only the sign change guaranteed by the
-    preconditions, so it also handles non-convex constraint functions whose
-    restriction to the segment is not monotone.  The kernel's first
-    evaluation holds the first bracket end ``x0 + 1.0 * (xbar - x0)``, which
-    is ``xbar`` up to rounding, then ``x0``, which it checks, and the 31
-    midpoints of the first five halvings of ``[0, 1]``.  Each later
-    evaluation of up to 64 points covers at least five halvings, and usually
-    many more along the path a per-constraint interpolation predicts; they
-    are then taken on Python floats, and the result is the one a halving at
-    a time gives.  The crossing stays below ``t = 1`` exactly when that end
-    is infeasible, so the crossing also tells whether ``xbar`` is.  The
-    active set comes from the kernel's values at the boundary point, which
-    it evaluated, so nothing is evaluated after the kernel returns.  A
-    non-finite ``xbar`` raises :class:`PreconditionError`.
+    ``max_j g_j >= -BOUNDARY_TOL`` at the returned point.  Bisection needs
+    only the sign change the preconditions guarantee, so it also handles
+    non-convex constraint functions.  The kernel's first evaluation holds
+    ``xbar`` itself as the bracket end ``t = 1``, then ``x0``, which it
+    checks, and the 31 midpoints of the first five halvings of ``[0, 1]``.
+    ``xbar``'s value there is the result's ``violation``, and only an
+    ``xbar`` with ``violation > 0`` is searched, so the crossing lies below
+    ``t = 1`` exactly when ``xbar`` is infeasible; ``x0 + 1.0 * (xbar -
+    x0)``, which can differ from ``xbar`` by rounding and then in sign, is
+    not evaluated.  Each later evaluation of up to 64 points covers at least
+    five halvings, usually many more along the path a per-constraint
+    interpolation predicts, and the result is the one a halving at a time
+    gives.  The active set comes from the kernel's values at the boundary
+    point, so nothing is evaluated after the kernel returns.
+
+    Given ``eps``, an ``xbar`` with ``violation <= eps`` is not searched and
+    the result has no crossing (see :class:`GaugeResult`).  Any other
+    feasible or non-finite ``xbar`` raises :class:`PreconditionError`.
     """
     cons = as_constraints(constraints)
     if cfg is None:
         cfg = SolverConfig()
     x0 = np.asarray(x0, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
-    D = (xbar - x0)[None, :]
-    t_star, ok, at_t = _boundary_crossings(cons, x0, D, tol=cfg.line_search_tol, settle=True)
-    if t_star[0] >= 1.0:  # t_lo leaves [0, 1) only by doubling past a feasible first end
-        f1 = _fmax_rows(cons, x0 + 1.0 * D)[0]
-        raise PreconditionError(
-            f"point to separate is feasible (max_j g_j = {f1:.6g})"
-        )
+    d = xbar - x0
+    t_star, ok, at_t, f1 = _boundary_crossings(
+        cons, x0, d[None, :], tol=cfg.line_search_tol, settle=True,
+        ends=xbar[None, :], stop=0.0 if eps is None else max(eps, 0.0),
+    )
+    violation = float(f1[0])
+    if eps is not None and violation <= eps:
+        return GaugeResult(None, None, None, (), x0, xbar, violation)
+    if violation <= 0.0:
+        raise PreconditionError(f"point to separate is feasible (max_j g_j = {violation:.6g})")
     if not ok[0]:
         if not np.isfinite(xbar).all():
             raise PreconditionError("point to separate is not finite")
@@ -215,7 +228,7 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
             "point to separate lies that far outside), or max_j g_j is too steep there to settle"
         )
     lo = float(t_star[0])
-    xhat = x0 + lo * (xbar - x0)  # the point lo * d + x0 the kernel evaluated, bit for bit
+    xhat = lo * d + x0  # the point the kernel evaluated, bit for bit
     active = [0]  # a single constraint is the attaining one
     if len(cons) > 1:
         gvals = at_t[0]
@@ -229,6 +242,7 @@ def line_search_boundary(constraints, x0, xbar, cfg: SolverConfig | None = None)
         active_set=tuple(active),
         interior_point=x0,
         separated_point=xbar,
+        violation=violation,
     )
 
 
@@ -290,14 +304,15 @@ def kelley_separator(constraints):
 def gauge_separator(constraints, x0, cfg: SolverConfig | None = None):
     """ESH's oracle, Kelley's on ``gauge(x) <= 1``: the violation ``max_j
     g_j(x)`` (``inf`` outside some ``g_j``'s domain) and, above ``eps``, the
-    :func:`esh_cut` cuts where the segment from ``x0`` to ``x`` leaves ``C``."""
+    :func:`esh_cut` cuts where the segment from ``x0`` to ``x`` leaves ``C``.
+    Both come from one :func:`line_search_boundary` given ``eps``, whose
+    first evaluation holds ``x`` itself: an ``eps``-feasible ``x`` costs
+    that one evaluation."""
     cons = as_constraints(constraints)
 
     def separate(x, eps):
-        fmax = float(_fmax_rows(cons, x[None, :])[0])
-        if fmax <= eps:
-            return fmax, []
-        return fmax, esh_cut(cons, line_search_boundary(cons, x0, x, cfg))
+        gr = line_search_boundary(cons, x0, x, cfg, eps)
+        return gr.violation, esh_cut(cons, gr)
 
     return separate
 
@@ -323,8 +338,12 @@ def _constraint_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
 
 def _fmax_rows(cons: Sequence[Constraint], P: np.ndarray) -> np.ndarray:
     """``max_j g_j`` at each row of ``P``, ``+inf`` outside a domain."""
-    G = _constraint_rows(cons, P)
-    return G[0] if len(G) == 1 else G.max(axis=0)
+    return _row_max(_constraint_rows(cons, P))
+
+
+def _row_max(G: np.ndarray) -> np.ndarray:
+    """``max_j`` of ``(J, N)`` per-constraint values, per column."""
+    return functools.reduce(np.maximum, G)
 
 
 def _boundary_crossings(
@@ -333,60 +352,65 @@ def _boundary_crossings(
     D: np.ndarray,
     tol: float = 1e-13,
     settle: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list | None]:
+    ends: np.ndarray | None = None,
+    stop: float = -math.inf,
+) -> tuple[np.ndarray, np.ndarray, list | None, np.ndarray]:
     """Per row of ``D``: the parameter ``t* > 0`` where ``max_j g_j(x0 + t d)``
     crosses zero, taken on the feasible side, bisected to a bracket width of
     at most ``tol * t_hi``.  ``settle`` also bisects on until ``max_j g_j >=
     -BOUNDARY_TOL`` at ``t*`` (grids leave it off: there it costs time and
     leaves steep rays open).  Rows whose ray never leaves the set within the
     doubling budget, or still open after ``_BISECTIONS`` halvings, get ``ok
-    = False`` and a meaningless ``t*``.  Returns ``(t*, ok, at_t)``: for a
-    narrow call, of 1 to 21 rows, ``at_t[r]`` lists row ``r``'s
-    per-constraint values at its ``t*`` where ``ok`` and is ``None``
-    elsewhere; any other call gives ``at_t = None``.
+    = False`` and a meaningless ``t*``.  Returns ``(t*, ok, at_t, f1)``:
+    ``f1`` is ``max_j g_j`` at each first bracket end; for a narrow call, of
+    1 to 21 rows, ``at_t[r]`` lists row ``r``'s per-constraint values at
+    ``t*`` where ``ok`` and is ``None`` elsewhere; otherwise ``at_t = None``.
 
-    The first evaluation takes the first bracket ends ``x0 + 1.0 * d``, then
-    ``x0``, which must be strictly interior: ``max_j g_j(x0) < 0``, else
-    :class:`PreconditionError`.  With no rows it checks ``x0`` alone.  A
-    narrow call's first evaluation then takes each row's first round, the
-    dyadic tree of :func:`_first_tree`, so a row whose first end is
-    infeasible takes its first halvings with no evaluation of its own; one
-    that doubles plans its first round in :func:`_rounds`.  A narrow call
-    also keeps each row's per-constraint values at its bracket ends for
-    :func:`_predict`.  The doubling steps evaluate one point per open row.
-    The bisection halves every open row once per evaluation while 22 or more
-    rows are open and several times per evaluation below that, and returns
-    exactly what halving one midpoint per evaluation would: each ``t*`` with
-    ``ok`` is one it evaluated, as the point ``t* * d + x0``, and ``at_t``
+    The first evaluation takes the first bracket ends at ``t = 1`` (the rows
+    of ``ends``, else ``x0 + 1.0 * d``), then ``x0``, which must be strictly
+    interior, else :class:`PreconditionError`; with no rows it checks ``x0``
+    alone.  A row whose first end has ``max_j g_j <= stop`` is not searched
+    (``ok = False``).  A narrow call's first evaluation also takes each
+    row's first round, the tree of :func:`_first_tree`; a row that doubles
+    plans its first round in :func:`_round`.  The doubling steps evaluate
+    one point per open row.  The bisection halves every open row once per
+    evaluation while 22 or more rows are open, several times below that, and
+    returns exactly what halving one midpoint per evaluation would: each
+    ``t*`` with ``ok`` is one it evaluated, as ``t* * d + x0``, and ``at_t``
     holds the values of that evaluation."""
     k = D.shape[0]
     t_lo = np.zeros(k)
-    t_hi = np.ones(k)
+    t_hi = t_lo + 1.0
     Dt = np.ascontiguousarray(D.T)  # Dt[:, r] is row r's direction
     narrow = 0 < k <= _ROUND_POINTS // 3
-    tree, columns = _first_tree(k) if narrow else (np.empty(0), None)
+    tree = _first_tree(k) if narrow else np.empty(0)
     m = tree.size
     # the first ends in the layout of _ray_points (1.0 * d is d), then x0,
     # then row r's tree at the columns from k + 1 + r * m on
     P = np.empty((x0.size, k + 1 + k * m))
-    np.add(Dt, x0[:, None], out=P[:, :k])
+    if ends is None:
+        np.add(Dt, x0[:, None], out=P[:, :k])
+    else:
+        P[:, :k] = ends.T
     P[:, k] = x0
     if m:
         trees = P[:, k + 1:].reshape(x0.size, k, m)  # a view: it splits the last axis
         np.multiply(Dt[:, :, None], tree, out=trees)
         trees += x0[:, None, None]
     G = _constraint_rows(cons, P.T)
-    f_hi = G.max(axis=0)
-    if narrow:  # [g(t_lo), g(t_hi)] per row
-        ends = [[G[:, k].tolist(), g] for g in G[:, :k].T.tolist()]
-    else:
+    f_hi = _row_max(G)
+    if not narrow:
         del G  # as large as a grid: not kept through the doublings
     del P
     if f_hi[k] >= 0.0:
         raise PreconditionError(
             f"interior point is not strictly interior (max_j g_j = {f_hi[k]:.6g})"
         )
-    need = f_hi[:k] <= 0.0
+    f1 = f_hi[:k]
+    searched = f1 > stop
+    need = searched & (f1 <= 0.0)
+    # a narrow row's values at [t_lo, t_hi]: columns of G, then lists
+    at_ends = [[k, r] for r in range(k)] if narrow else None
     for _ in range(_DOUBLINGS):
         if not need.any():
             break
@@ -396,24 +420,27 @@ def _boundary_crossings(
         Gd = _constraint_rows(cons, _ray_points(x0, t_hi[idx], Dt.take(idx, axis=1)))
         if narrow:
             for r, g in zip(idx.tolist(), Gd.T.tolist()):
-                ends[r] = [ends[r][1], g]
-        need[idx] = Gd.max(axis=0) <= 0.0
-    ok = ~need
+                at_ends[r] = [at_ends[r][1], g]
+        need[idx] = _row_max(Gd) <= 0.0
+    ok = searched & ~need
     if not narrow:
         rows = np.nonzero(ok)[0]
         for start in range(0, rows.size, _BLOCK_ROWS):
             block = rows[start:start + _BLOCK_ROWS]
             ok[_bisect(cons, x0, Dt, block, t_lo, t_hi, tol, settle)] = False
-        return t_lo, ok, None
-    # a row that doubled plans its first round; any other has it in G
-    live, ats = [], []
+        return t_lo, ok, None, f1
+    # a row that doubled plans its first round; any other has its tree in G
+    live, plans = [], []
     for r, (a, b, bracketed) in enumerate(zip(t_lo.tolist(), t_hi.tolist(), ok.tolist())):
         if bracketed:
-            live.append([a, b, None, -math.inf, 0, *ends[r], None, r, r])
-            ats.append({} if b > 1.0 else columns[r])
+            live.append(_Ray(a, b, -math.inf, 0, *at_ends[r], r, r))
+            first = k + 1 + r * m
+            plans.append(None if b > 1.0 else (first, m, first + m, first + m, None))
     at_t = [None] * k
-    ok[_rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t, (G, f_hi.tolist(), ats))] = False
-    return t_lo, ok, at_t
+    still_open = _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t, (G, f_hi.tolist(), plans))
+    if still_open:
+        ok[still_open] = False
+    return t_lo, ok, at_t, f1
 
 
 def _ray_points(x0: np.ndarray, t: np.ndarray, Dt: np.ndarray) -> np.ndarray:
@@ -426,32 +453,38 @@ def _ray_points(x0: np.ndarray, t: np.ndarray, Dt: np.ndarray) -> np.ndarray:
 
 def _tree(a: float, b: float, depth: int) -> list[float]:
     """The ``2^depth - 1`` midpoints that ``depth`` halvings of ``[a, b]``
-    can visit, in increasing order, each the ``0.5 * (lo + hi)`` of the
-    bracket a halving would split there."""
-    cut = [a, b]  # [a, b] cut into dyadic pieces, one level of halvings at a time
-    for _ in range(depth):
-        finer = [a]
-        for u, v in zip(cut, cut[1:]):
-            finer += (0.5 * (u + v), v)
-        cut = finer
-    return cut[1:-1]
+    can visit, each the ``0.5 * (lo + hi)`` of the bracket a halving would
+    split there, in heap order: level by level from the first halving's,
+    each level in increasing order, so the ``i``-th midpoint's halving goes
+    on to the ``(2i + 1)``-th below it and the ``(2i + 2)``-th above it."""
+    points = [a, b]
+    for lo, hi in _tree_brackets(depth):
+        points.append(0.5 * (points[lo] + points[hi]))
+    return points[2:]
 
 
 @functools.cache
-def _first_tree(k: int) -> tuple[np.ndarray, list[dict[float, int]]]:
+def _tree_brackets(depth: int) -> tuple[tuple[int, int], ...]:
+    """Where the bracket ends of each midpoint of :func:`_tree` are in the
+    list ``[a, b]`` followed by the midpoints."""
+    brackets = [(0, 1)]
+    for i in range(2 ** depth // 2 - 1):  # the i-th midpoint is at i + 2
+        lo, hi = brackets[i]
+        brackets += [(lo, i + 2), (i + 2, hi)]
+    return tuple(brackets[:2 ** depth - 1])
+
+
+@functools.cache
+def _first_tree(k: int) -> np.ndarray:
     """The first round of each row of a narrow call of ``k`` rows: the
-    dyadic tree on ``[0, 1]`` of the largest depth ``d`` with ``(k + 1) + k
-    (2^d - 1) <= _ROUND_POINTS``, so that the first evaluation, of ``k``
+    :func:`_tree` on ``[0, 1]`` of the largest depth ``d`` with ``(k + 1) +
+    k (2^d - 1) <= _ROUND_POINTS``, so that the first evaluation, of ``k``
     first ends, ``x0`` and ``k`` trees, stays within one round's points and
-    on the blocked tape (``d = 5`` for one row, 1 for 21).  Returns the
-    tree's midpoints and, per row ``r``, the map from each midpoint to its
-    column ``k + 1 + r m + i`` of the first evaluation; neither is to be
+    on the blocked tape (``d = 5`` for one row, 1 for 21); not to be
     changed."""
-    tree = _tree(0.0, 1.0, ((_ROUND_POINTS - 1) // k).bit_length() - 1)
-    m = len(tree)
-    points = np.array(tree)
+    points = np.array(_tree(0.0, 1.0, ((_ROUND_POINTS - 1) // k).bit_length() - 1))
     points.flags.writeable = False
-    return points, [dict(zip(tree, range(k + 1 + r * m, k + 1 + (r + 1) * m))) for r in range(k)]
+    return points
 
 
 def _predict(a: float, b: float, c, ga, gb, gc) -> float | None:
@@ -514,91 +547,133 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle):
             Dt = Dt.compress(keep, axis=1)
     if done == _BISECTIONS:
         return rows
-    live = [[a, b, None, fl, done, None, None, None, r, c]
+    live = [_Ray(a, b, fl, done, None, None, r, c)
             for c, (r, a, b, fl) in enumerate(zip(*(v.tolist() for v in (rows, lo, hi, f_lo))))]
     return _rounds(cons, x0, Dt, live, t_lo, tol, settle)
 
 
-def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
-    """Bisect at most 21 open rows several halvings per evaluation, writing
-    each closed row's ``t_lo``; returns the rows still open after
-    ``_BISECTIONS`` halvings.  A row of ``live`` is ``[lo, hi, the end last
-    given up, f_lo, halvings, g at those three, row, column of Dt]``, its
-    ``g`` per-constraint value lists or ``None`` where unknown.  Rows
-    predict only when ``at_t`` is given, which then gets each closed row's
-    values at its ``t_lo``.  ``first``, if given, is the first round,
-    evaluated with the first bracket ends: its per-constraint values, their
-    ``max_j`` as a list and, per row of ``live``, a map from each midpoint
-    it holds for the row to its column, empty for a row that doubled, which
-    plans its first round in the next.
+class _Ray:
+    """A row of :func:`_rounds`: its bracket ``[lo, hi]`` after ``n``
+    halvings, ``last`` the end last given up, ``f_lo`` the ``max_j g_j`` at
+    ``lo`` (``-inf`` until a halving lands there), the per-constraint values
+    ``g_*`` at the three (lists, columns of the round's values, or ``None``),
+    its ``row`` of the kernel call and its column ``col`` of ``Dt``."""
 
-    Each of ``R`` rows of a round to plan gets ``B = _ROUND_POINTS // R``
-    points of one evaluation.  A row without a prediction (see
-    :func:`_predict`: the tail of a wide call, a domain edge) spends them on
-    the dyadic tree of ``d`` halvings, the most with ``2^d - 1 <= B``.  A
-    row with one takes that tree one level shallower and spends the rest of
-    its ``B`` below it, on the midpoints bisection visits if the predicted
-    crossing is right.  Each midpoint is computed as the same ``0.5 * (lo +
-    hi)`` of the same bracket ends a single halving would use.  The halvings
-    are then replayed row by row on Python floats, which round as numpy's
-    float64 does, each deciding on the value at its own midpoint: one where
-    ``max_j g_j > 0`` becomes ``hi``, any other ``lo``.  A row's round ends
-    at its first midpoint that was not evaluated, so a wrong prediction
-    costs halvings, never a different crossing, and a row gains at least
-    ``d - 1`` halvings a round.  The stop test runs after every halving, and
-    halvings are counted per row, so a row closes with the ``t_lo`` of the
-    first halving where it holds, as one halving per evaluation would close
-    it, also where the ray leaves and re-enters the set."""
-    G, F, ats = first or (None, None, None)
+    __slots__ = ("lo", "hi", "last", "f_lo", "n", "g_lo", "g_hi", "g_last", "row", "col")
+
+    def __init__(self, lo, hi, f_lo, n, g_lo, g_hi, row, col):
+        self.lo, self.hi, self.last, self.f_lo, self.n = lo, hi, None, f_lo, n
+        self.g_lo, self.g_hi, self.g_last, self.row, self.col = g_lo, g_hi, None, row, col
+
+
+def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
+    """Bisect the :class:`_Ray` rows ``live``, at most 21, several halvings
+    per evaluation, writing each closed row's ``t_lo``; returns the rows
+    still open after ``_BISECTIONS`` halvings.  Rows predict only when
+    ``at_t`` is given, which then gets each closed row's values at its
+    ``t_lo``.  ``first`` is the first round, if evaluated with the first
+    bracket ends, as :func:`_round` returns it; a row that doubled has no
+    plan there.
+
+    The halvings are replayed on Python floats, which round as float64
+    does, each deciding on the value at its own midpoint ``m = 0.5 * (lo +
+    hi)``: where ``max_j g_j > 0`` it becomes ``hi``, elsewhere ``lo``.  The
+    replay goes by index from the ``i``-th midpoint of the row's tree to the
+    ``(2i + 1)``-th or ``(2i + 2)``-th, then along its path while every
+    halving went the way the prediction ``p`` says (``m > p`` for ``hi``).
+    A round ends at the first midpoint not evaluated, so a wrong prediction
+    costs halvings, never a different crossing.  The stop test runs after
+    every halving, so a row closes where one halving per evaluation would,
+    also where the ray leaves and re-enters the set."""
+    G, F, plans = first or (None, None, None)
     still_open = []
     while live:
-        if ats is None:
-            b_row = _ROUND_POINTS // len(live)
-            d = (b_row + 1).bit_length() - 1
-            T, ats, reps = [], [], [0] * Dt.shape[1]  # reps[col]: points of that row
-            for a, b, c, _, n, ga, gb, gc, _, col in live:
-                p = _predict(a, b, c, ga, gb, gc)
-                depth = min(d - (p is not None), _BISECTIONS - n)
-                pts = _tree(a, b, depth)
-                if p is not None:  # the predicted path, past the tree's levels
-                    path = []
-                    for _ in range(min(b_row - len(pts) + depth, _BISECTIONS - n)):
-                        path.append(m := 0.5 * (a + b))
-                        a, b = (a, m) if m > p else (m, b)
-                    pts += path[depth:]
-                # midpoint -> column of G
-                ats.append(dict(zip(pts, range(len(T), len(T) + len(pts)))))
-                T += pts
-                reps[col] = len(pts)
-            # live rows stay in the order of their columns, so T's points are in repeat's order
-            Dr = Dt[:, live[0][-1], None] if len(live) == 1 else np.repeat(Dt, reps, axis=1)
-            G = _constraint_rows(cons, _ray_points(x0, np.array(T), Dr))
-            F = G.max(axis=0).tolist()
+        if plans is None:
+            G, F, plans = _round(cons, x0, Dt, live, at_t is not None)
         nxt = []
-        for (a, b, c, fl, n, ga, gb, gc, r, col), at in zip(live, ats):
-            while n < _BISECTIONS:
-                m = 0.5 * (a + b)
-                i = at.get(m)
-                if i is None:
-                    # a column of G becomes a list; a wide call's tail never predicts
-                    ga, gb, gc = ((None,) * 3 if at_t is None else
-                                  [G[:, g].tolist() if type(g) is int else g for g in (ga, gb, gc)])
-                    nxt.append([a, b, c, fl, n, ga, gb, gc, r, col])
-                    break
-                n += 1
-                if F[i] > 0.0:
-                    c, gc, b, gb = b, gb, m, i
-                else:
-                    c, gc, a, ga, fl = a, ga, m, i, F[i]
-                if not (b - a > tol * b or settle and fl < -BOUNDARY_TOL):
-                    t_lo[r] = a
-                    if at_t is not None:
-                        at_t[r] = G[:, ga].tolist() if type(ga) is int else ga
-                    break
-            else:
+        for ray, plan in zip(live, plans):
+            a, b, c, fl, n = ray.lo, ray.hi, ray.last, ray.f_lo, ray.n
+            ga, gb, gc, r = ray.g_lo, ray.g_hi, ray.g_last, ray.row
+            closed = False
+            if plan is not None:
+                tree, size, path, end, p = plan
+                col, i, on = tree, 0, p is not None
+                # the plan ends within the row's budget of halvings
+                while True:
+                    m = 0.5 * (a + b)
+                    f = F[col]
+                    n += 1
+                    above = f > 0.0
+                    if above:
+                        c, gc, b, gb = b, gb, m, col
+                    else:
+                        c, gc, a, ga, fl = a, ga, m, col, f
+                    if not (b - a > tol * b or settle and fl < -BOUNDARY_TOL):
+                        closed = True
+                        break
+                    if on:
+                        on = above == (m > p)
+                    if i < size:  # the tree's next level, or the path below it
+                        i += i + 2 - above
+                        if i < size:
+                            col = tree + i
+                            continue
+                        col = path
+                    else:
+                        col += 1
+                    if not (on and col < end):
+                        break
+            if closed:
+                t_lo[r] = a
+                if at_t is not None:
+                    at_t[r] = G[:, ga].tolist() if type(ga) is int else ga
+            elif n == _BISECTIONS:
                 still_open.append(r)
-        live, ats = nxt, None
+            else:
+                ray.lo, ray.hi, ray.last, ray.f_lo, ray.n = a, b, c, fl, n
+                if at_t is not None:  # the round's columns become lists
+                    ray.g_lo, ray.g_hi, ray.g_last = (
+                        G[:, g].tolist() if type(g) is int else g for g in (ga, gb, gc))
+                nxt.append(ray)
+        live, plans = nxt, None
     return still_open
+
+
+def _round(cons, x0, Dt, live, predict):
+    """Plan and evaluate a round of :func:`_rounds`: its per-constraint
+    values, their ``max_j`` as a list and, per row, the plan ``(tree, size,
+    path, end, p)``: the row's :func:`_tree` at columns ``tree`` on, its
+    path at ``path`` to ``end`` and its prediction ``p`` or ``None``.  Each
+    of ``R`` rows gets ``B = _ROUND_POINTS // R`` points: without a
+    prediction (a wide call's tail, a domain edge) the tree of ``d``
+    halvings, the most with ``2^d - 1 <= B``; with one, that tree one level
+    shallower and below it the midpoints bisection visits if ``p`` is
+    right, so a row gains at least ``d - 1`` halvings a round."""
+    b_row = _ROUND_POINTS // len(live)
+    d = (b_row + 1).bit_length() - 1
+    T, plans, reps = [], [], [0] * Dt.shape[1]  # reps[col]: points of that row
+    for ray in live:
+        a, b, n = ray.lo, ray.hi, ray.n
+        p = _predict(a, b, ray.last, ray.g_lo, ray.g_hi, ray.g_last) if predict else None
+        depth = min(d - (p is not None), _BISECTIONS - n)
+        tree = len(T)
+        T += _tree(a, b, depth)
+        path = len(T)
+        if p is not None:  # the predicted path, past the tree's levels
+            for s in range(depth + min(b_row - (path - tree), _BISECTIONS - n - depth)):
+                m = 0.5 * (a + b)
+                if m > p:
+                    b = m
+                else:
+                    a = m
+                if s >= depth:
+                    T.append(m)
+        plans.append((tree, path - tree, path, len(T), p))
+        reps[ray.col] = len(T) - tree
+    # live rows stay in the order of their columns, so T's points are in repeat's order
+    Dr = Dt[:, live[0].col, None] if len(live) == 1 else np.repeat(Dt, reps, axis=1)
+    G = _constraint_rows(cons, _ray_points(x0, np.fromiter(T, float, len(T)), Dr))
+    return G, _row_max(G).tolist(), plans
 
 
 def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:
@@ -622,7 +697,7 @@ def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:
     # the directions are built in the (n, k) layout the kernel reads, so it
     # needs no copy of its own
     Dt = np.subtract(X[nonzero].T, x0[:, None], order="C")
-    t_star, ray_ok, _ = _boundary_crossings(cons, x0, Dt.T)
+    t_star, ray_ok, _, _ = _boundary_crossings(cons, x0, Dt.T)
     phi[nonzero] = np.where(ray_ok, 1.0 / np.maximum(t_star, 1e-300), 0.0)
     ok[nonzero] = ray_ok
     return phi, ok

@@ -41,7 +41,8 @@ def _verify_every_lp_solve(monkeypatch):
 def _verify_every_boundary_crossing(monkeypatch):
     """Test mode: every call of the ray-crossing kernel anywhere in the suite
     is checked against one halving per evaluation, and the values it hands
-    back at each crossing against an evaluation of that point."""
+    back at each first bracket end and each crossing against an evaluation
+    of that point."""
     import gaugecut.separation as sep
 
     original = sep._boundary_crossings
@@ -52,9 +53,11 @@ def _verify_every_boundary_crossing(monkeypatch):
         a = signature.bind(*args, **kwargs)
         a.apply_defaults()
         a = a.arguments
-        expect = reference_boundary_crossings(a["cons"], a["x0"], a["D"], a["tol"], a["settle"])
+        cons, x0, D, ends = a["cons"], a["x0"], a["D"], a["ends"]
+        expect = reference_boundary_crossings(cons, x0, D, a["tol"], a["settle"],
+                                              ends=ends, stop=a["stop"])
         assert_same_crossings(got, expect)
-        assert_values_at_crossings(a["cons"], a["x0"], a["D"], got)
+        assert_values_at_crossings(cons, x0, D, got, ends)
         return got
 
     monkeypatch.setattr(sep, "_boundary_crossings", checked)

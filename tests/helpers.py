@@ -221,10 +221,13 @@ def supporting_oracle_quadratic(
     return False
 
 
-def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False, counts=None):
+def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False, counts=None,
+                                 ends=None, stop=-np.inf):
     """Test-only reference for ``separation._boundary_crossings``: the same
     doubling, then bisection with one midpoint per row per evaluation.  The
-    kernel must return the same ``ok`` and, where ``ok``, bit-identical
+    first bracket ends are the rows of ``ends`` if given, else ``x0 + 1.0 *
+    D``; a row whose first end has ``max_j g_j <= stop`` is not searched.
+    The kernel must return the same ``ok`` and, where ``ok``, bit-identical
     ``t*``.  It evaluates through ``_REFERENCE_FMAX`` so that tests counting
     the kernel's own evaluations do not count these.  ``counts``, an integer
     array of shape ``(2, k)`` if given, gets each row's doublings and
@@ -232,8 +235,9 @@ def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False, counts=No
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = np.ones(k)
-    f_hi = _REFERENCE_FMAX(cons, x0 + t_hi[:, None] * D)
-    need = f_hi <= 0.0
+    f_hi = _REFERENCE_FMAX(cons, x0 + t_hi[:, None] * D if ends is None else ends)
+    searched = f_hi > stop
+    need = searched & (f_hi <= 0.0)
     for _ in range(_DOUBLINGS):
         if not np.any(need):
             break
@@ -244,7 +248,7 @@ def reference_boundary_crossings(cons, x0, D, tol=1e-13, settle=False, counts=No
             counts[0, idx] += 1
         f_new = _REFERENCE_FMAX(cons, x0 + t_hi[idx, None] * D[idx])
         need[idx] = f_new <= 0.0
-    ok = ~need
+    ok = searched & ~need
     rows = np.nonzero(ok)[0]
     lo, hi, Dr = t_lo[rows], t_hi[rows], D[rows]
     f_lo = np.full(rows.size, -np.inf)  # unknown until a bisection lands inside
@@ -279,12 +283,16 @@ def assert_same_crossings(got, expect):
     assert t[ok].tobytes() == t_ref[ok].tobytes()
 
 
-def assert_values_at_crossings(cons, x0, D, got):
-    """The values a kernel call hands back: for a call of 1 to 21 rows, each
+def assert_values_at_crossings(cons, x0, D, got, ends=None):
+    """The values a kernel call hands back: ``max_j g_j`` at each first
+    bracket end (the rows of ``ends`` if given, else ``x0 + 1.0 * D``), bit
+    for bit that of ``_fmax_rows`` there; for a call of 1 to 21 rows, each
     ``ok`` row's per-constraint values at ``t*``, bit for bit those of
     ``constraint_values(cons, t* * d + x0)``, and ``None`` for any other
-    row; any other call hands back none."""
-    t, ok, at_t = got
+    row; any other call hands back none of the latter."""
+    t, ok, at_t, f1 = got
+    expect_f1 = _REFERENCE_FMAX(cons, x0 + 1.0 * D if ends is None else ends)
+    assert f1.tobytes() == expect_f1.tobytes()
     k = D.shape[0]
     if not 0 < k <= _ROUND_POINTS // 3:
         assert at_t is None

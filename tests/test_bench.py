@@ -129,8 +129,44 @@ def test_compare_pools_the_seeds_of_a_workload(tmp_path):
     assert [line.split(" item_cost")[0] for line in lines if "item_cost" in line] == [
         "esh-solve seed 1", "esh-solve seed 2", "esh-solve all seeds"]
     assert lines[-2:] == [
-        "esh-solve all seeds item_cost: parent 3.6 (IQR 1.03, 6 runs), change 3.45 (6 runs), "
-        "change won 5 and lost 1 of 6 pairs",
-        "esh-solve all seeds pass_rate: parent 1 (IQR 0, 6 runs), change 1 (6 runs), "
-        "change won 0 and lost 0 of 6 pairs",
+        "esh-solve all seeds item_cost: parent 3.6 (IQR about seed medians 0.15, 6 runs), "
+        "change 3.45 (6 runs), change won 5 and lost 1 of 6 pairs",
+        "esh-solve all seeds pass_rate: parent 1 (IQR about seed medians 0, 6 runs), "
+        "change 1 (6 runs), change won 0 and lost 0 of 6 pairs",
     ]
+
+
+def test_compare_measures_all_seeds_noise_about_each_seeds_median(tmp_path):
+    # two seeds whose costs differ by 10 but whose runs each spread by 0.2:
+    # the pooled range is that of the runs about their seed's median, so a
+    # gain of 1 in every pair reads as wider than the noise
+    parent = _runs(0, 1, [_result(c) for c in (5.0, 5.2, 5.1, 4.9)])
+    parent += _runs(0, 2, [_result(c) for c in (15.0, 15.2, 15.1, 14.9)])
+    change = _runs(1, 1, [_result(c - 1.0) for c in (5.0, 5.2, 5.1, 4.9)])
+    change += _runs(1, 2, [_result(c - 1.0) for c in (15.0, 15.2, 15.1, 14.9)])
+    sides = [{"commit": "a", "signatures": None, "src_bytes": 100},
+             {"commit": "b", "signatures": None, "src_bytes": 90}]
+    path = tmp_path / "BENCH_noise.json"
+    path.write_text(json.dumps({"environment": {"PYTHONDONTWRITEBYTECODE": "1"},
+                                "settings": {}, "sides": sides, "runs": parent + change}))
+    lines = _compare(path)
+    pooled = [line for line in lines if line.startswith("esh-solve all seeds item_cost")]
+    assert pooled == ["esh-solve all seeds item_cost: parent 10.05 (IQR about seed medians 0.15, "
+                      "8 runs), change 9.05 (8 runs), change won 8 and lost 0 of 8 pairs"]
+    assert "esh-solve seed 1 item_cost: parent 5.05 (IQR 0.15, 4 runs)" in lines[0]
+
+
+def test_compare_prints_src_bytes_and_bytecode_beside_setup(tmp_path):
+    def with_setup(cost, setup):
+        r = _result(cost)
+        r["metrics"]["setup_s"] = {"value": setup, "unit": "s"}
+        return r
+
+    sides = [{"commit": "a", "signatures": None, "src_bytes": 1000},
+             {"commit": "b", "signatures": None, "src_bytes": 990}]
+    path = tmp_path / "BENCH_setup.json"
+    path.write_text(json.dumps({
+        "environment": {"PYTHONDONTWRITEBYTECODE": "1"}, "settings": {}, "sides": sides,
+        "runs": _runs(0, 1, [with_setup(2.0, 0.3)]) + _runs(1, 1, [with_setup(1.9, 0.29)])}))
+    (setup,) = [line for line in _compare(path) if "setup_s" in line]
+    assert setup.endswith("; src bytes parent 1000, change 990, PYTHONDONTWRITEBYTECODE=1")

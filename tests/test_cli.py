@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,24 @@ def test_solve_with_huge_bounds_and_no_interior_point(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--algorithm", "esh", str(path))
     assert code == 3
     assert "line search" in err
+
+
+@pytest.mark.parametrize("algorithm", ["esh", "kelley"])
+def test_solve_with_bounds_near_the_float_limit_ends_in_a_numeric_error(
+        capsys, tmp_path, algorithm):
+    # the box loads, but c^T x at the first LP vertex, about -2e308,
+    # overflows: a typed error and exit code 3, and no RuntimeWarning
+    d = circle_dict()
+    d["objective"] = [1.0, 1.0]
+    for v in d["variables"]:
+        v["lb"], v["ub"] = -1e308, 1e308
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, "solve", "--algorithm", algorithm, str(path))
+    assert code == 3
+    assert "overflows the float range" in err
 
 
 def test_line_search_error_names_both_causes(capsys, tmp_path):

@@ -196,7 +196,9 @@ def test_gauge_values_checks_x0_in_the_first_evaluation(monkeypatch):
     first = batches[0]
     assert first.shape == (4 + 3 * 15, 2)
     assert np.array_equal(first[:3], (points - x0) + x0) and np.array_equal(first[3], x0)
-    tree = np.arange(1, 16) / 16  # the halvings' midpoints, all exact
+    # the halvings' midpoints, all exact, in heap order: 1/2, then 1/4 and
+    # 3/4, then the odd eighths and the odd sixteenths
+    tree = np.concatenate([np.arange(1, 2**L, 2) / 2**L for L in range(1, 5)])
     expect = tree[None, :, None] * (points - x0)[:, None, :] + x0
     assert np.array_equal(first[4:], expect.reshape(-1, 2))
     assert ok.all() and np.all((phi > 1.0) == [True, False, True])
@@ -1086,3 +1088,119 @@ def test_gauge_subgradient_check_in_blocks(where, ok_there):
     lhs = phi_hat + X @ cut.alpha - float(cut.alpha @ xhat)  # alpha^T yhat = 1
     assert got is bool(np.all(lhs[ok] <= phi[ok] + 1e-7))
     assert got is (not ok_there)
+
+
+# ---------------------------------------------------------------------------
+# the oracle takes its violation from the line search's first evaluation
+# ---------------------------------------------------------------------------
+
+ORACLE_SETS = {"ball_exp": lambda: make_ball_exp(5), "shell": make_nonconvex_circle,
+               "log": make_log}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_every_esh_violation_is_max_violation_bit_for_bit(name):
+    from gaugecut import solve_esh
+
+    p = ORACLE_SETS[name]()
+    trace = solve_esh(p, SolverConfig(eps_feas=1e-4, max_iters=300))
+    assert trace.status == "optimal_eps"
+    for rec in trace.iterations:
+        try:
+            expect = max_violation(p.constraints, rec.x)[0]
+        except EvalDomainError:
+            expect = math.inf  # the log instance's first LP vertex is the origin
+        assert rec.violation.hex() == expect.hex()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_an_esh_iteration_evaluates_only_inside_its_line_search(monkeypatch, name):
+    # the oracle no longer evaluates the LP point before the line search:
+    # every constraint evaluation of an iteration is one of the kernel's
+    from gaugecut import solve_esh
+
+    p = ORACLE_SETS[name]()
+    batches = _count_evaluations(monkeypatch, "constraint_values")
+    inside, searches = [], []
+
+    def kernel(*args, **kwargs):
+        before = len(batches)
+        got = _boundary_crossings(*args, **kwargs)
+        inside.append(len(batches) - before)
+        searches.append(got)
+        return got
+
+    monkeypatch.setattr(separation, "_boundary_crossings", kernel)
+    trace = solve_esh(p, SolverConfig(eps_feas=1e-4, max_iters=300))
+    assert len(searches) == len(trace.iterations)
+    assert sum(inside) == len(batches)
+    # the last iterate is eps-feasible: its line search is one evaluation
+    assert inside[-1] == 1 and not searches[-1][1].any()
+
+
+def test_line_search_given_eps_stops_at_an_eps_feasible_point():
+    cons = make_circle().constraints
+    gr = line_search_boundary(cons, ORIGIN, [0.6, 0.8000001], eps=1e-4)
+    assert gr.active_set == () and gr.lambda_star is None and gr.boundary_point is None
+    assert gr.violation == constraint_values(cons, np.array([0.6, 0.8000001]))[0]
+    assert esh_cut(cons, gr) == []
+    # without eps the same point is searched, and a feasible one raises
+    assert line_search_boundary(cons, ORIGIN, [0.6, 0.8000001]).lambda_star < 1.0
+    with pytest.raises(PreconditionError, match="feasible"):
+        line_search_boundary(cons, ORIGIN, [0.6, 0.79])
+    gr = line_search_boundary(cons, ORIGIN, [1.5, 1.5], eps=1e-4)
+    assert gr.violation == 3.5 and gr.active_set == (0,)
+
+
+def _off_by_rounding():
+    """A point ``x`` and ``x0`` with ``x0 + 1.0 * (x - x0) < x``, so that
+    ``g(y) = y - (x0 + 1.0 * (x - x0))`` is positive at ``x`` and zero there."""
+    x0, x = 0.2, 0.9
+    y = x0 + 1.0 * (x - x0)
+    assert y < x
+    return np.array([x0]), np.array([x]), load_problem(
+        '{"variables": [{"name": "x", "lb": -1, "ub": 1}],'
+        f' "objective": [-1], "constraints": [{{"name": "g", "expr": "x - {y!r}"}}]}}')
+
+
+def test_the_sign_at_the_point_itself_decides_whether_it_is_searched():
+    # g(x) > 0 = g(x0 + 1.0 * (x - x0)): the search decides on x itself and
+    # finds the crossing just below t = 1, whose cut separates x; evaluating
+    # the rounded point instead would call x feasible and raise
+    x0, x, p = _off_by_rounding()
+    gr = line_search_boundary(p.constraints, x0, x)
+    assert gr.violation > 0.0 and gr.lambda_star < 1.0
+    (cut,) = esh_cut(p.constraints, gr)
+    assert cut.violation(x) > 0.0
+
+
+_FORCED = {
+    "none": lambda a, b, ref: None,
+    "lo": lambda a, b, ref: a,
+    "hi": lambda a, b, ref: b,
+    "root": lambda a, b, ref: ref,
+    "far": lambda a, b, ref: b + 1e6 * (b - a),
+}
+
+
+@pytest.mark.parametrize("forced", sorted(_FORCED))
+@pytest.mark.parametrize("name", ["annulus", "log", "shell"])
+def test_any_prediction_leaves_crossings_and_values_unchanged(monkeypatch, name, forced):
+    # the autouse check compares every kernel call with the reference
+    # kernel, crossings and values at t* alike, whatever the path predicted
+    p = KERNEL_SETS[name]()
+    x0 = p.interior_point
+    cfg = SolverConfig()
+    reference = [None]
+    choose = _FORCED[forced]
+    monkeypatch.setattr(separation, "_predict",
+                        lambda a, b, *values: choose(a, b, reference[0]))
+    for d in _rays(p, 12, seed=21):
+        t_ref, ok_ref = reference_boundary_crossings(
+            p.constraints, x0, d[None, :], cfg.line_search_tol, True, ends=(x0 + d)[None, :],
+            stop=0.0)
+        if not ok_ref[0]:
+            continue
+        reference[0] = float(t_ref[0])
+        gr = line_search_boundary(p.constraints, x0, x0 + d, cfg)
+        assert gr.lambda_star == reference[0]
