@@ -10,21 +10,23 @@ each run prints last; a run that exits non-zero or whose last line is not
 JSON is kept as its exit code and the tail of its stderr, and so is a
 checkout whose signatures could not be written.  Given two checkouts it
 runs them in pairs, the first ``--root`` as the parent and the second as the
-change, and alternates which side runs first from one pair to the next.  The file also records the
-environment (Python, numpy, core count, ``PYTHONDONTWRITEBYTECODE``, and each
-checkout's ``git rev-parse HEAD`` and ``src/`` byte count) and each checkout's result signatures from ``bench_signatures.py``.
+change, and alternates which side runs first from one pair to the next.  The
+file also records the environment (Python, numpy, core count and
+``PYTHONDONTWRITEBYTECODE``), each checkout's ``git rev-parse HEAD`` and
+``src/`` byte count, and each checkout's result signatures from
+``bench_signatures.py``.
 
 The second form prints, per workload, seed and metric, the median of the
 parent's and the change's runs, the interquartile range of the parent's runs,
 and the pairs the change won (ties count for neither side), and the same over
 all seeds of a workload run on more than one, where the range is that of each
-parent run's difference from its own seed's parent median; beside ``setup_s``
-it prints each side's ``src/`` bytes and ``PYTHONDONTWRITEBYTECODE``, where
-the file records them (set-ups compile ``src/`` when no bytecode is written);
-then any runs
-that failed, were not correct or failed operations, and any signatures that
-are missing through a failure or differ.  It exits 1 if there are such runs
-or signatures, and 0 otherwise.
+parent run's difference from its own seed's parent median.  Beside
+``setup_s`` it prints each side's ``src/`` bytes and
+``PYTHONDONTWRITEBYTECODE``, where the file records them: without written
+bytecode, each set-up compiles ``src/``.  Then it prints any runs that
+failed, were not correct or failed operations, and any signatures that are
+missing through a failure or differ.  It exits 1 if there are such runs or
+signatures, and 0 otherwise.
 Given one file, its two sides are compared; given two, the first side of the
 first file is the parent and the last side of the second is the change, run
 ``k`` of a workload and seed pairing with run ``k`` of the other.

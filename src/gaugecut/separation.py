@@ -16,23 +16,16 @@ oracles for ``C = {g_j <= 0}``:
 ESH's oracle is Kelley's applied to ``gauge(x) <= 1``, the gauge (Minkowski
 functional) of ``C`` about the interior point: the line search evaluates it,
 ``1/lambda*`` at the crossing ``lambda*``, and the ESH cut is Kelley's cut on
-it up to scaling.  :func:`check_supporting` runs the same loop on ``max
-alpha^T x``.  :func:`gauge_values` evaluates the gauge at any points, for
+it up to scaling.  The line search's first evaluation holds the separated
+point itself, so the oracle reads its violation there and evaluates nothing
+else.  :func:`check_supporting` runs the same loop on ``max alpha^T x``.
+:func:`gauge_values` evaluates the gauge at any points, for
 :func:`gauge_subgradient_check` to certify a normalized supporting cut as a
 gauge subgradient inequality.  It and the line search share one ray-crossing
-kernel: bisection, one halving of every ray per evaluation while many rays
-are open, and for a few rays the midpoints of several halvings evaluated in
-one batch: a dyadic tree in heap order, and below it the path bisection
-takes if a per-constraint interpolation of the crossing is right, which the
-replay walks by index.  For a few rays the first evaluation, of the first
-bracket ends and the interior point, also holds each ray's first tree, and
-the kernel hands back the per-constraint values at each crossing, from which
-the line search takes its active set.  The line search's first bracket end
-is the separated point itself, so ESH's oracle reads its violation from
-that evaluation and evaluates nothing else.  Each halving still decides on
-the value at its own midpoint, so each crossing is bit for bit the one that
-one halving per evaluation returns; the prediction only saves evaluations.
-A point outside some ``g_j``'s domain lies outside ``C``.
+kernel: bisection that evaluates many rays, or several halvings of a few
+rays, at once, and returns bit for bit the crossings of one halving per
+evaluation (see :func:`_boundary_crossings`).  A point outside some
+``g_j``'s domain lies outside ``C``.
 
 :func:`affine_on_segment` and :func:`classify_quadratic` decide when plain
 linearization cuts happen to be supporting: exactly when the constraint is
@@ -186,17 +179,13 @@ def line_search_boundary(
     ``max_j g_j >= -BOUNDARY_TOL`` at the returned point.  Bisection needs
     only the sign change the preconditions guarantee, so it also handles
     non-convex constraint functions.  The kernel's first evaluation holds
-    ``xbar`` itself as the bracket end ``t = 1``, then ``x0``, which it
-    checks, and the 31 midpoints of the first five halvings of ``[0, 1]``.
-    ``xbar``'s value there is the result's ``violation``, and only an
-    ``xbar`` with ``violation > 0`` is searched, so the crossing lies below
-    ``t = 1`` exactly when ``xbar`` is infeasible; ``x0 + 1.0 * (xbar -
-    x0)``, which can differ from ``xbar`` by rounding and then in sign, is
-    not evaluated.  Each later evaluation of up to 64 points covers at least
-    five halvings, usually many more along the path a per-constraint
-    interpolation predicts, and the result is the one a halving at a time
-    gives.  The active set comes from the kernel's values at the boundary
-    point, so nothing is evaluated after the kernel returns.
+    ``xbar`` itself as the bracket end ``t = 1``, and ``x0``, which it
+    checks; ``xbar``'s value there is the result's ``violation``.  Only
+    ``violation > 0`` is searched, so the crossing lies below ``t = 1``
+    exactly when ``xbar`` is infeasible, also where ``x0 + 1.0 * (xbar -
+    x0)`` differs from ``xbar`` by rounding, and then in sign.  The active
+    set comes from the kernel's values at the boundary point, so nothing is
+    evaluated after the kernel returns.
 
     Given ``eps``, an ``xbar`` with ``violation <= eps`` is not searched and
     the result has no crossing (see :class:`GaugeResult`).  Any other
@@ -370,37 +359,31 @@ def _boundary_crossings(
     of ``ends``, else ``x0 + 1.0 * d``), then ``x0``, which must be strictly
     interior, else :class:`PreconditionError`; with no rows it checks ``x0``
     alone.  A row whose first end has ``max_j g_j <= stop`` is not searched
-    (``ok = False``).  A narrow call's first evaluation also takes each
-    row's first round, the tree of :func:`_first_tree`; a row that doubles
-    plans its first round in :func:`_round`.  The doubling steps evaluate
-    one point per open row.  The bisection halves every open row once per
-    evaluation while 22 or more rows are open, several times below that, and
-    returns exactly what halving one midpoint per evaluation would: each
-    ``t*`` with ``ok`` is one it evaluated, as ``t* * d + x0``, and ``at_t``
-    holds the values of that evaluation."""
+    (``ok = False``).  A narrow call's first evaluation is also each row's
+    first round on ``[0, 1]`` (see :func:`_round`), which a row that doubles
+    plans afresh.  The doubling steps evaluate one point per open row.  The
+    bisection halves every open row once per evaluation while 22 or more
+    rows are open, several times below that, and returns exactly what
+    halving one midpoint per evaluation would: each ``t*`` with ``ok`` is
+    one it evaluated, as ``t* * d + x0``, and ``at_t`` holds the values of
+    that evaluation."""
     k = D.shape[0]
     t_lo = np.zeros(k)
     t_hi = t_lo + 1.0
     Dt = np.ascontiguousarray(D.T)  # Dt[:, r] is row r's direction
-    narrow = 0 < k <= _ROUND_POINTS // 3
-    tree = _first_tree(k) if narrow else np.empty(0)
-    m = tree.size
-    # the first ends in the layout of _ray_points (1.0 * d is d), then x0,
-    # then row r's tree at the columns from k + 1 + r * m on
-    P = np.empty((x0.size, k + 1 + k * m))
+    # the first ends in the layout of _ray_points (1.0 * d is d), then x0
+    P = np.empty((x0.size, k + 1))
     if ends is None:
         np.add(Dt, x0[:, None], out=P[:, :k])
     else:
         P[:, :k] = ends.T
     P[:, k] = x0
-    if m:
-        trees = P[:, k + 1:].reshape(x0.size, k, m)  # a view: it splits the last axis
-        np.multiply(Dt[:, :, None], tree, out=trees)
-        trees += x0[:, None, None]
-    G = _constraint_rows(cons, P.T)
-    f_hi = _row_max(G)
-    if not narrow:
-        del G  # as large as a grid: not kept through the doublings
+    narrow = 0 < k <= _ROUND_POINTS // 3
+    if narrow:  # x0 and the first ends are each ray's values at [0, 1]
+        rays = [_Ray(0.0, 1.0, -math.inf, 0, k, r, r) for r in range(k)]
+        G, f_hi = _round(cons, x0, Dt, rays, False, P)
+    else:
+        f_hi = _fmax_rows(cons, P.T)
     del P
     if f_hi[k] >= 0.0:
         raise PreconditionError(
@@ -409,8 +392,6 @@ def _boundary_crossings(
     f1 = f_hi[:k]
     searched = f1 > stop
     need = searched & (f1 <= 0.0)
-    # a narrow row's values at [t_lo, t_hi]: columns of G, then lists
-    at_ends = [[k, r] for r in range(k)] if narrow else None
     for _ in range(_DOUBLINGS):
         if not need.any():
             break
@@ -418,9 +399,10 @@ def _boundary_crossings(
         t_hi[need] *= 2.0
         idx = np.nonzero(need)[0]
         Gd = _constraint_rows(cons, _ray_points(x0, t_hi[idx], Dt.take(idx, axis=1)))
-        if narrow:
+        if narrow:  # a ray that doubles plans its first round afresh
             for r, g in zip(idx.tolist(), Gd.T.tolist()):
-                at_ends[r] = [at_ends[r][1], g]
+                ray = rays[r]
+                ray.lo, ray.hi, ray.g_lo, ray.g_hi, ray.plan = ray.hi, 2.0 * ray.hi, ray.g_hi, g, None
         need[idx] = _row_max(Gd) <= 0.0
     ok = searched & ~need
     if not narrow:
@@ -429,15 +411,10 @@ def _boundary_crossings(
             block = rows[start:start + _BLOCK_ROWS]
             ok[_bisect(cons, x0, Dt, block, t_lo, t_hi, tol, settle)] = False
         return t_lo, ok, None, f1
-    # a row that doubled plans its first round; any other has its tree in G
-    live, plans = [], []
-    for r, (a, b, bracketed) in enumerate(zip(t_lo.tolist(), t_hi.tolist(), ok.tolist())):
-        if bracketed:
-            live.append(_Ray(a, b, -math.inf, 0, *at_ends[r], r, r))
-            first = k + 1 + r * m
-            plans.append(None if b > 1.0 else (first, m, first + m, first + m, None))
+    bracketed = ok.tolist()
     at_t = [None] * k
-    still_open = _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t, (G, f_hi.tolist(), plans))
+    still_open = _rounds(cons, x0, Dt, [ray for ray in rays if bracketed[ray.row]], t_lo, tol,
+                         settle, at_t, (G, f_hi))
     if still_open:
         ok[still_open] = False
     return t_lo, ok, at_t, f1
@@ -472,19 +449,6 @@ def _tree_brackets(depth: int) -> tuple[tuple[int, int], ...]:
         lo, hi = brackets[i]
         brackets += [(lo, i + 2), (i + 2, hi)]
     return tuple(brackets[:2 ** depth - 1])
-
-
-@functools.cache
-def _first_tree(k: int) -> np.ndarray:
-    """The first round of each row of a narrow call of ``k`` rows: the
-    :func:`_tree` on ``[0, 1]`` of the largest depth ``d`` with ``(k + 1) +
-    k (2^d - 1) <= _ROUND_POINTS``, so that the first evaluation, of ``k``
-    first ends, ``x0`` and ``k`` trees, stays within one round's points and
-    on the blocked tape (``d = 5`` for one row, 1 for 21); not to be
-    changed."""
-    points = np.array(_tree(0.0, 1.0, ((_ROUND_POINTS - 1) // k).bit_length() - 1))
-    points.flags.writeable = False
-    return points
 
 
 def _predict(a: float, b: float, c, ga, gb, gc) -> float | None:
@@ -547,23 +511,26 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle):
             Dt = Dt.compress(keep, axis=1)
     if done == _BISECTIONS:
         return rows
-    live = [_Ray(a, b, fl, done, None, None, r, c)
-            for c, (r, a, b, fl) in enumerate(zip(*(v.tolist() for v in (rows, lo, hi, f_lo))))]
-    return _rounds(cons, x0, Dt, live, t_lo, tol, settle)
+    live = [_Ray(a, b, fl, done, None, None, r)
+            for r, (a, b, fl) in enumerate(zip(lo.tolist(), hi.tolist(), f_lo.tolist()))]
+    still_open = _rounds(cons, x0, Dt, live, lo, tol, settle)  # closes rows in lo
+    t_lo[rows] = lo
+    return rows[still_open]
 
 
 class _Ray:
     """A row of :func:`_rounds`: its bracket ``[lo, hi]`` after ``n``
     halvings, ``last`` the end last given up, ``f_lo`` the ``max_j g_j`` at
     ``lo`` (``-inf`` until a halving lands there), the per-constraint values
-    ``g_*`` at the three (lists, columns of the round's values, or ``None``),
-    its ``row`` of the kernel call and its column ``col`` of ``Dt``."""
+    ``g_*`` at the three (lists, columns of the round's values, or
+    ``None``), its ``row``, which is its column of ``Dt`` and its index in
+    ``t_lo``, and the ``plan`` of its round (see :func:`_round`)."""
 
-    __slots__ = ("lo", "hi", "last", "f_lo", "n", "g_lo", "g_hi", "g_last", "row", "col")
+    __slots__ = ("lo", "hi", "last", "f_lo", "n", "g_lo", "g_hi", "g_last", "row", "plan")
 
-    def __init__(self, lo, hi, f_lo, n, g_lo, g_hi, row, col):
+    def __init__(self, lo, hi, f_lo, n, g_lo, g_hi, row):
         self.lo, self.hi, self.last, self.f_lo, self.n = lo, hi, None, f_lo, n
-        self.g_lo, self.g_hi, self.g_last, self.row, self.col = g_lo, g_hi, None, row, col
+        self.g_lo, self.g_hi, self.g_last, self.row, self.plan = g_lo, g_hi, None, row, None
 
 
 def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
@@ -585,18 +552,19 @@ def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
     costs halvings, never a different crossing.  The stop test runs after
     every halving, so a row closes where one halving per evaluation would,
     also where the ray leaves and re-enters the set."""
-    G, F, plans = first or (None, None, None)
+    G, F = first or (None, None)
     still_open = []
     while live:
-        if plans is None:
-            G, F, plans = _round(cons, x0, Dt, live, at_t is not None)
+        if G is None:
+            G, F = _round(cons, x0, Dt, live, at_t is not None)
+        F = F.tolist()
         nxt = []
-        for ray, plan in zip(live, plans):
+        for ray in live:
             a, b, c, fl, n = ray.lo, ray.hi, ray.last, ray.f_lo, ray.n
             ga, gb, gc, r = ray.g_lo, ray.g_hi, ray.g_last, ray.row
             closed = False
-            if plan is not None:
-                tree, size, path, end, p = plan
+            if ray.plan is not None:
+                tree, size, path, end, p = ray.plan
                 col, i, on = tree, 0, p is not None
                 # the plan ends within the row's budget of halvings
                 while True:
@@ -635,23 +603,26 @@ def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
                     ray.g_lo, ray.g_hi, ray.g_last = (
                         G[:, g].tolist() if type(g) is int else g for g in (ga, gb, gc))
                 nxt.append(ray)
-        live, plans = nxt, None
+        live, G = nxt, None
     return still_open
 
 
-def _round(cons, x0, Dt, live, predict):
-    """Plan and evaluate a round of :func:`_rounds`: its per-constraint
-    values, their ``max_j`` as a list and, per row, the plan ``(tree, size,
-    path, end, p)``: the row's :func:`_tree` at columns ``tree`` on, its
-    path at ``path`` to ``end`` and its prediction ``p`` or ``None``.  Each
-    of ``R`` rows gets ``B = _ROUND_POINTS // R`` points: without a
-    prediction (a wide call's tail, a domain edge) the tree of ``d``
-    halvings, the most with ``2^d - 1 <= B``; with one, that tree one level
-    shallower and below it the midpoints bisection visits if ``p`` is
-    right, so a row gains at least ``d - 1`` halvings a round."""
-    b_row = _ROUND_POINTS // len(live)
+def _round(cons, x0, Dt, live, predict, lead=None):
+    """Plan and evaluate a round of :func:`_rounds`: set each row's
+    ``plan``, ``(tree, size, path, end, p)``: its :func:`_tree` at columns
+    ``tree`` on, its path at ``path`` to ``end`` and its prediction ``p`` or
+    ``None``; return the round's per-constraint values and their ``max_j``.
+    The ``L`` columns of ``lead``, if given, are evaluated first and take
+    ``L`` of the round's points.  Each of ``R`` rows gets ``B`` of the rest:
+    without a prediction (the first round, a wide call's tail, a domain
+    edge) the tree of ``d`` halvings, the most with ``2^d - 1 <= B``; with
+    one, that tree one level shallower and below it the midpoints bisection
+    visits if ``p`` is right, so a row gains at least ``d - 1`` halvings a
+    round."""
+    start = 0 if lead is None else lead.shape[1]
+    b_row = (_ROUND_POINTS - start) // len(live)
     d = (b_row + 1).bit_length() - 1
-    T, plans, reps = [], [], [0] * Dt.shape[1]  # reps[col]: points of that row
+    T, reps = [], [0] * Dt.shape[1]  # reps[r]: points of row r
     for ray in live:
         a, b, n = ray.lo, ray.hi, ray.n
         p = _predict(a, b, ray.last, ray.g_lo, ray.g_hi, ray.g_last) if predict else None
@@ -668,12 +639,15 @@ def _round(cons, x0, Dt, live, predict):
                     a = m
                 if s >= depth:
                     T.append(m)
-        plans.append((tree, path - tree, path, len(T), p))
-        reps[ray.col] = len(T) - tree
-    # live rows stay in the order of their columns, so T's points are in repeat's order
-    Dr = Dt[:, live[0].col, None] if len(live) == 1 else np.repeat(Dt, reps, axis=1)
-    G = _constraint_rows(cons, _ray_points(x0, np.fromiter(T, float, len(T)), Dr))
-    return G, _row_max(G).tolist(), plans
+        ray.plan = (start + tree, path - tree, start + path, start + len(T), p)
+        reps[ray.row] = len(T) - tree
+    # live rows stay in order, so T's points are in repeat's order
+    Dr = Dt[:, live[0].row, None] if len(live) == 1 else np.repeat(Dt, reps, axis=1)
+    P = _ray_points(x0, np.fromiter(T, float, len(T)), Dr)
+    if lead is not None:
+        P = np.concatenate((lead, P.T), axis=1).T
+    G = _constraint_rows(cons, P)
+    return G, _row_max(G)
 
 
 def gauge_values(constraints, x0, points) -> tuple[np.ndarray, np.ndarray]:
