@@ -402,7 +402,8 @@ def _boundary_crossings(
         if narrow:  # a ray that doubles plans its first round afresh
             for r, g in zip(idx.tolist(), Gd.T.tolist()):
                 ray = rays[r]
-                ray.lo, ray.hi, ray.g_lo, ray.g_hi, ray.plan = ray.hi, 2.0 * ray.hi, ray.g_hi, g, None
+                ray.lo, ray.hi, ray.g_lo, ray.g_hi = ray.hi, 2.0 * ray.hi, ray.g_hi, g
+                ray.plan = None
         need[idx] = _row_max(Gd) <= 0.0
     ok = searched & ~need
     if not narrow:
