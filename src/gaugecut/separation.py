@@ -383,7 +383,9 @@ def _boundary_crossings(
         rays = [_Ray(0.0, 1.0, -math.inf, 0, k, r, r) for r in range(k)]
         G, f_hi = _round(cons, x0, Dt, rays, False, P)
     else:
-        f_hi = _fmax_rows(cons, P.T)
+        G = _constraint_rows(cons, P.T)
+        f_hi = G.max(axis=0)
+        del G  # as large as a grid: not kept through the doublings
     del P
     if f_hi[k] >= 0.0:
         raise PreconditionError(
