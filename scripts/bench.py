@@ -12,9 +12,9 @@ checkout whose signatures could not be written.  Given two checkouts it
 runs them in pairs, the first ``--root`` as the parent and the second as the
 change, and alternates which side runs first from one pair to the next.  The
 file also records the environment (Python, numpy, core count and
-``PYTHONDONTWRITEBYTECODE``), each checkout's ``git rev-parse HEAD`` and
-``src/`` byte count, and each checkout's result signatures from
-``bench_signatures.py``.
+``PYTHONDONTWRITEBYTECODE``), each checkout's ``git rev-parse HEAD``,
+``src/`` byte count and resolved path length, and each checkout's result
+signatures from ``bench_signatures.py``.
 
 The second form prints, per workload, seed and metric, the median of the
 parent's and the change's runs, the interquartile range of the parent's runs,
@@ -23,7 +23,9 @@ all seeds of a workload run on more than one, where the range is that of each
 parent run's difference from its own seed's parent median.  Beside
 ``setup_s`` it prints each side's ``src/`` bytes and
 ``PYTHONDONTWRITEBYTECODE``, where the file records them: without written
-bytecode, each set-up compiles ``src/``.  Then it prints any runs that
+bytecode, each set-up compiles ``src/``.  Beside ``peak_rss_mb`` it prints
+each side's checkout path length, and flags lengths that differ: peak RSS
+moves with it by about a megabyte.  Then it prints any runs that
 failed, were not correct or failed operations, and any signatures that are
 missing through a failure or differ.  It exits 1 if there are such runs or
 signatures, and 0 otherwise.
@@ -106,15 +108,23 @@ def _src_bytes(root: Path) -> int:
     return sum(p.stat().st_size for p in (root / "src").rglob("*.py"))
 
 
-def _setup_note(data: list[dict]) -> str:
-    """``src/`` bytes of the parent and the change, and whether bytecode was
-    written, as far as the files record them."""
+def _notes(data: list[dict]) -> dict[str, str]:
+    """What the files record beside two metrics, as far as they do: for
+    ``setup_s`` the ``src/`` bytes of the parent and the change and whether
+    bytecode was written, for ``peak_rss_mb`` their checkouts' path
+    lengths, flagged where they differ."""
     parent, change = data[0]["sides"][0], data[-1]["sides"][-1]
     env = data[-1].get("environment", {})
-    if "src_bytes" not in parent and "src_bytes" not in change:
-        return ""
-    return (f"; src bytes parent {parent.get('src_bytes')}, change {change.get('src_bytes')}, "
+    notes = {}
+    if "src_bytes" in parent or "src_bytes" in change:
+        notes["setup_s"] = (
+            f"; src bytes parent {parent.get('src_bytes')}, change {change.get('src_bytes')}, "
             f"PYTHONDONTWRITEBYTECODE={env.get('PYTHONDONTWRITEBYTECODE')}")
+    if "path_length" in parent or "path_length" in change:
+        a, b = parent.get("path_length"), change.get("path_length")
+        notes["peak_rss_mb"] = (f"; checkout path length parent {a}, change {b}"
+                                + ("" if a == b else " (DIFFER: peak RSS moves with it)"))
+    return notes
 
 
 def record(roots: list[Path], workloads, seeds: str, repeat: int, seconds: float) -> dict:
@@ -133,7 +143,8 @@ def record(roots: list[Path], workloads, seeds: str, repeat: int, seconds: float
                              if "metrics" in result else f"exit code {result['exit_code']}")
                     print(f"{workload} seed {seed} run {k} side {side}: {shown}", file=sys.stderr)
     sides = [{"commit": _commit(r), "dirty": _dirty(r), "src_bytes": _src_bytes(r),
-              "signatures": _signatures(r, workloads, seeds, seconds)} for r in roots]
+              "path_length": len(str(r)), "signatures": _signatures(r, workloads, seeds, seconds)}
+             for r in roots]
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "cores": os.cpu_count(), "machine": platform.machine(),
            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
@@ -177,12 +188,12 @@ def _noise(a: dict, metric: str) -> list[float]:
     return [v - statistics.median(vs) for vs in by_seed.values() for v in vs]
 
 
-def _metric_lines(label: str, a: dict, b: dict, better: dict, note: str = "") -> list[str]:
+def _metric_lines(label: str, a: dict, b: dict, better: dict, notes: dict) -> list[str]:
     """Per metric, a line on the parent's runs ``a`` and the change's runs
     ``b`` (results keyed by workload, seed and pair): each side's median,
     the parent's interquartile range and the pairs the change won and lost.
-    Over several seeds the range is that of :func:`_noise`.  ``note`` is
-    added to the ``setup_s`` line."""
+    Over several seeds the range is that of :func:`_noise`.  ``notes`` maps
+    a metric to what is added to its line."""
     lines = []
     pooled = len({k[1] for k in a}) > 1
     for metric in sorted({m for r in [*a.values(), *b.values()] for m in r["metrics"]}):
@@ -200,19 +211,19 @@ def _metric_lines(label: str, a: dict, b: dict, better: dict, note: str = "") ->
             f"{label} {metric}: parent {statistics.median(pa):.4g}"
             f" (IQR{' about seed medians' if pooled else ''} {q3 - q1:.3g}, {len(pa)} runs),"
             f" change {statistics.median(pb):.4g} ({len(pb)} runs), change won {won} and lost"
-            f" {lost} of {len(pairs)} pairs" + (note if metric == "setup_s" else ""))
+            f" {lost} of {len(pairs)} pairs" + notes.get(metric, ""))
     return lines
 
 
 def compare(parent: list[dict], change: list[dict],
-            signatures=(None, None), note: str = "") -> tuple[list[str], bool]:
+            signatures=(None, None), notes: dict | None = None) -> tuple[list[str], bool]:
     """Report lines for the ``runs`` entries of the parent and the change, and
     whether every run ended with a correct result without failed operations,
     no side's signatures failed, and the signatures, where both sides have
     them, are equal.  A workload run on more than one seed also gets its
-    lines over all seeds, after those of each seed.  ``note`` is added to
-    each ``setup_s`` line."""
-    better = _directions()
+    lines over all seeds, after those of each seed.  ``notes`` maps a metric
+    to what is added to each of its lines."""
+    better, notes = _directions(), notes or {}
     runs = {"parent": _by_key(parent), "change": _by_key(change)}
     a, b = ({k: r for k, r in side.items() if "metrics" in r} for side in runs.values())
     lines = []
@@ -226,10 +237,10 @@ def compare(parent: list[dict], change: list[dict],
         seeds = sorted({k[1] for k in [*a, *b] if k[0] == workload})
         for seed in seeds:
             lines += _metric_lines(f"{workload} seed {seed}",
-                                   *pick(lambda k: k[:2] == (workload, seed)), better, note)
+                                   *pick(lambda k: k[:2] == (workload, seed)), better, notes)
         if len(seeds) > 1:
             lines += _metric_lines(f"{workload} all seeds", *pick(lambda k: k[0] == workload),
-                                   better, note)
+                                   better, notes)
     clean = True
     for name, side in runs.items():
         for (workload, seed, k), r in sorted(side.items()):
@@ -274,7 +285,7 @@ def main(argv=None) -> int:
         if len(data) == 1 and len(data[0]["sides"]) != 2:
             ap.error("one file to compare must hold two sides")
         (pa, sa), (pb, sb) = _side(data[0], 0), _side(data[-1], -1)
-        lines, clean = compare(pa, pb, (sa, sb), _setup_note(data))
+        lines, clean = compare(pa, pb, (sa, sb), _notes(data))
         print("\n".join(lines))
         return 0 if clean else 1
     roots = [r.resolve() for r in (args.root or [ROOT])]

@@ -37,9 +37,11 @@ of the root with respect to each node from the root down to the variables,
 applying only derivative rules to the recorded values.  It visits the nodes
 in pre-order (node, left, right), as a recursive descent would, so the
 contributions to each partial derivative add up in a fixed order and the
-first derivative domain error is the leftmost.  No finite-difference noise
-enters cut coefficients, and a gradient's value is the one plain evaluation
-gives.
+first derivative domain error is the leftmost.  Both sweeps run on the
+blocked tape: a block's adjoints are computed on all its columns at once and
+reach the gradient term by term, so every partial derivative is the plain
+tape's, bit for bit.  No finite-difference noise enters cut coefficients, and
+a gradient's value is the one plain evaluation gives.
 
 Evaluation is vectorised: a single point gives scalars, an ``(N, n)`` array of
 points gives length-``N`` arrays.  Domain violations (log of a non-positive
@@ -457,8 +459,9 @@ class _Tape:
     ``node`` is the node the instruction computes, named in domain errors;
     ``kids`` are the positions of its operands' instructions.  ``blocked``,
     built on first use, runs each run of like terms of a sum once (see
-    :func:`_blocked`).  ``width`` is one more than the largest variable index,
-    the shortest point the expression can be evaluated at."""
+    :func:`_blocked`); its ``kids`` are positions in it.  ``width`` is one
+    more than the largest variable index, the shortest point the expression
+    can be evaluated at."""
 
     __slots__ = ("plain", "width", "_blocked")
 
@@ -523,16 +526,21 @@ def _blocked(code: list[tuple]) -> list[tuple]:
     vector where they differ, every other instruction runs on the ``(N, k)``
     block, and a ``_FOLD`` adds (or subtracts) the block's columns into the
     running sum left to right, the chain's own operations in its own order.
-    So every value is the plain tape's, bit for bit.
+    So every value is the plain tape's, bit for bit.  The fold's ``arg`` is
+    ``(ufunc, head)``, ``head`` when the chain's first term is the run's;
+    its ``kids`` are the running sum's position, unless ``head``, and the
+    block's last instruction.  Every other instruction's ``kids`` are
+    positions in the blocked tape too, so :func:`_reverse` runs on it.
 
     A run is blocked only if each term holds at most one domain-checked
     instruction (``_CHECKED``), none a fractional power with a negative
     exponent: after that check passes, ``0 ^ -0.5`` still divides by zero.
     Block instructions carry their terms' nodes, and :func:`_domain_check`
     names the first term that fails: between terms only ``+``, ``-`` and
-    the fold run, so one term at a time fails there first.  Only the forward
-    sweep runs a blocked tape, so its ``kids`` are left empty; without such
-    runs it is ``code`` itself."""
+    the fold run, so one term at a time fails there first.  The derivative's
+    own checks (``sqrt`` and fractional powers) are among ``_CHECKED``, so
+    the same holds for the reverse sweep.  Without such runs the blocked
+    tape is ``code`` itself."""
     n = len(code)
     first = list(range(n))  # the first position of each instruction's subtree
     has_var = [op == _VAR for op, _, _, _ in code]
@@ -558,19 +566,24 @@ def _blocked(code: list[tuple]) -> list[tuple]:
         checks = [(op, arg) for op, arg, _, _ in code[first[t]:t + 1] if op in _CHECKED]
         return len(checks) < 2 and not any(op == _POW_FRAC and arg < 0 for op, arg in checks)
 
-    def block(terms: list[int], sub: bool, head: bool) -> list[tuple]:
-        out = []
-        for off in range(terms[0] - first[terms[0]] + 1):
-            op, arg, _, _ = code[first[terms[0]] + off]
+    def block(terms: list[int], sub: bool, left: int | None, base: int) -> list[tuple]:
+        # left: the running sum's blocked position, None for a head run;
+        # base: the blocked position of the block's first instruction
+        out, f0 = [], first[terms[0]]
+        for off in range(terms[0] - f0 + 1):
+            op, arg, _, kids = code[f0 + off]
             if op in (_VAR, _CONST):
                 args = [code[first[t] + off][1] for t in terms]
                 if op == _VAR or len({a.hex() for a in args}) > 1:
                     arg = np.array(args)
-            out.append((op, arg, tuple(code[first[t] + off][2] for t in terms), ()))
-        out.append((_FOLD, (np.subtract if sub else np.add, head), None, ()))
+            out.append((op, arg, tuple(code[first[t] + off][2] for t in terms),
+                        tuple(base + k - f0 for k in kids)))
+        root = base + len(out) - 1
+        fold = (np.subtract if sub else np.add, left is None)
+        out.append((_FOLD, fold, None, (root,) if left is None else (left, root)))
         return out
 
-    runs: dict[int, tuple] = {}  # first position -> (last position, terms, sub, head)
+    runs: dict[int, tuple] = {}  # first position -> (last position, terms, sub, running sum)
     for top, (op, _, _, _) in enumerate(code):
         up = parent[top]
         if op not in (_ADD, _SUB) or (up >= 0 and code[up][0] in (_ADD, _SUB)
@@ -594,20 +607,24 @@ def _blocked(code: list[tuple]) -> list[tuple]:
                 j += 1
             if j - i >= _MIN_RUN and has_var[terms[i]] and one_check(terms[i]):
                 # a chain around this one comes later, and its run wins
-                runs[first[terms[i]]] = (spine[j - 2], terms[i:j], joins == _SUB, i == 0)
+                left = None if i == 0 else code[spine[i - 1]][3][0]
+                runs[first[terms[i]]] = (spine[j - 2], terms[i:j], joins == _SUB, left)
             i = j
     if not runs:
         return code
     out: list[tuple] = []
+    pos = {}  # plain position -> blocked position; a run's last is its fold
     i = 0
     while i < n:
         if i in runs:  # a run inside this one's terms is skipped with them
-            last, terms, sub, head = runs[i]
-            out += block(terms, sub, head)
+            last, terms, sub, left = runs[i]
+            out += block(terms, sub, None if left is None else pos[left], len(out))
+            pos[last] = len(out) - 1
             i = last + 1
         else:
-            op, arg, node, _ = code[i]
-            out.append((op, arg, node, ()))
+            op, arg, node, kids = code[i]
+            pos[i] = len(out)
+            out.append((op, arg, node, tuple(pos[k] for k in kids)))
             i += 1
     return out
 
@@ -667,8 +684,10 @@ def _forward(code: list, X: np.ndarray, slots: list | None = None) -> np.ndarray
             v = np.sqrt(a)
         else:  # _FOLD: a block's columns into the running sum, left to right
             fold, head = arg
-            v = pop()  # the block: a fresh array, no other instruction's value
-            if not head:
+            v = pop()  # the block, its last instruction's value
+            if not head:  # column 0 takes the running sum, in a copy if v is recorded
+                if slots is not None:
+                    v = v.copy()
                 fold(pop(), v[:, 0], out=v[:, 0])
             v = fold.accumulate(v, axis=1)[:, -1]
         push(v)
@@ -679,20 +698,35 @@ def _forward(code: list, X: np.ndarray, slots: list | None = None) -> np.ndarray
 
 def _reverse(code: list, vals: list, G: np.ndarray) -> None:
     """The reverse sweep: add ``d e/dx`` into the rows of ``G``, reading
-    node values from the ``slots`` of :func:`_forward`.  Each node pushes
-    its operands' adjoints on a stack, the left one on top, so the nodes are
-    visited in pre-order (node, left subtree, right subtree): contributions
-    reach ``G`` and derivative domain errors are raised in the order of a
-    recursive descent.  The forward sweep has checked every value domain;
-    only the derivative's own are checked here.  The base of ``^ 0`` gets no
-    adjoint, and its subtree is not visited."""
-    stack = [(len(code) - 1, 1.0)]
+    node values from the ``slots`` of :func:`_forward`, on a plain or a
+    blocked tape.  Each node pushes its operands' adjoints on a stack, the
+    left one on top, so the nodes are visited in pre-order (node, left
+    subtree, right subtree): contributions reach ``G`` and derivative domain
+    errors are raised in the order of a recursive descent.  The forward
+    sweep has checked every value domain; only the derivative's own are
+    checked here.  The base of ``^ 0`` gets no adjoint, and its subtree is
+    not visited.
+
+    A ``_FOLD`` gives each column of its block the adjoint of its term,
+    ``-bar`` where ``-`` joins it and ``bar`` elsewhere, and the block's
+    instructions run on all columns at once.  Its variables' adjoints wait
+    in the fold's own list until the block is done, and then reach ``G``
+    term by term, leaves left to right (:func:`_scatter`): each entry of
+    ``G`` gets its contributions in the plain tape's order, so the gradient
+    is the plain sweep's, bit for bit."""
+    stack = [(len(code) - 1, 1.0, None)]  # (position, adjoint, its block's list)
     push = stack.append
     while stack:
-        k, bar = stack.pop()
+        k, bar, pending = stack.pop()
+        if k < 0:  # a block is done
+            _scatter(G, pending)
+            continue
         op, arg, node, kids = code[k]
         if op == _VAR:
-            G[:, arg] += bar
+            if pending is None:
+                G[:, arg] += bar
+            else:
+                pending.append((arg, bar))
         elif op == _CONST:
             pass
         elif op <= _DIV:
@@ -706,27 +740,53 @@ def _reverse(code: list, vals: list, G: np.ndarray) -> None:
             else:
                 bar_l = bar / vals[right]
                 bar_r = -bar_l * vals[k]
-            push((right, bar_r))
-            push((left, bar_l))
+            push((right, bar_r, pending))
+            push((left, bar_l, pending))
+        elif op == _FOLD:
+            fold, head = arg
+            block = kids[-1]
+            cols = np.empty(vals[block].shape)
+            cols[:] = np.reshape(-bar if fold is np.subtract else bar, (-1, 1))
+            if head:
+                cols[:, 0] = bar
+            mine: list = []
+            push((-1, None, mine))
+            push((block, cols, mine))
+            if not head:
+                push((kids[0], bar, None))
         else:
             (kid,) = kids
             if op == _NEG:
-                push((kid, -bar))
+                push((kid, -bar, pending))
             elif op <= _POW_FRAC:
                 if arg != 0.0:
                     a = vals[kid]
                     if op == _POW_FRAC:
                         # fractional exponents need a strictly positive base for a finite slope
                         _domain_check(a > 0.0, "fractional power of zero in a derivative", node)
-                    push((kid, bar * (arg * a ** (arg - 1.0))))
+                    push((kid, bar * (arg * a ** (arg - 1.0)), pending))
             elif op == _EXP:
-                push((kid, bar * vals[k]))
+                push((kid, bar * vals[k], pending))
             elif op == _LOG:
-                push((kid, bar / vals[kid]))
+                push((kid, bar / vals[kid], pending))
             else:
                 message = "sqrt of a non-positive value in a derivative"
                 _domain_check(vals[kid] > 0.0, message, node)
-                push((kid, bar * (0.5 / vals[k])))
+                push((kid, bar * (0.5 / vals[k]), pending))
+
+
+def _scatter(G: np.ndarray, pending: list) -> None:
+    """Add a block's variable adjoints ``pending``, ``(indices, (N, k)
+    adjoints)`` per leaf in pre-order, into ``G``: term by term, each
+    term's leaves left to right, one at a time where an index repeats."""
+    if not pending:  # every leaf lies below a ^ 0
+        return
+    if len(pending) == 1:
+        ((idx, adj),) = pending
+    else:
+        idx = np.stack([i for i, _ in pending], axis=1).ravel()
+        adj = np.stack([a for _, a in pending], axis=2).reshape(G.shape[0], -1)
+    np.add.at(G, (slice(None), idx), adj)
 
 
 def _check_width(width: int, n: int) -> None:
@@ -795,10 +855,13 @@ def eval_value(e: Expr | Sequence[Expr], x) -> float | np.ndarray:
 
 
 def eval_grad(e: Expr, x) -> EvalResult:
-    """Value and exact gradient at a single point: the forward sweep
-    :func:`_forward` records every node's value, the reverse sweep
-    :func:`_reverse` carries ``d e/d node`` from the root down to the
-    variables.  The value is the one :func:`eval_value` gives.
+    """Value and exact gradient at a single point, on the blocked tape
+    :func:`eval_value` runs at a point: the forward sweep :func:`_forward`
+    records every instruction's value, the reverse sweep :func:`_reverse`
+    carries ``d e/d node`` from the root down to the variables, a run of
+    like terms as one block.  The value is the one :func:`eval_value` gives,
+    and the gradient is bit for bit the one a sweep over the plain tape,
+    one node at a time, gives.
 
     Deterministic: identical inputs give bit-identical outputs.
     """
@@ -807,7 +870,7 @@ def eval_grad(e: Expr, x) -> EvalResult:
         raise ValueError(f"expected a single point, got shape {x_arr.shape}")
     tape = _tape(e)
     _check_width(tape.width, x_arr.size)
-    code = tape.plain
+    code = tape.blocked
     vals: list = []
     g = np.zeros((1, x_arr.size))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -83,6 +83,8 @@ _BISECTIONS = 100  # halvings per row
 _ROUND_POINTS = 64
 # Rows bisected together; bounds the size of a round's arrays
 _BLOCK_ROWS = 8192
+# Newton steps a prediction takes at most from the secant root (see _predict)
+_NEWTON_STEPS = 8
 # What a wide halving adds to its midpoint for the new hi and lo, by whether
 # max_j g_j > 0 there: +inf or -inf leaves that end as it was (see _bisect)
 _TO_HI = np.array([math.inf, 0.0])
@@ -183,9 +185,12 @@ def line_search_boundary(
     checks; ``xbar``'s value there is the result's ``violation``.  Only
     ``violation > 0`` is searched, so the crossing lies below ``t = 1``
     exactly when ``xbar`` is infeasible, also where ``x0 + 1.0 * (xbar -
-    x0)`` differs from ``xbar`` by rounding, and then in sign.  The active
-    set comes from the kernel's values at the boundary point, so nothing is
-    evaluated after the kernel returns.
+    x0)`` differs from ``xbar`` by rounding, and then in sign.  The first
+    evaluation also takes five halvings; the next follows the crossing
+    predicted from the points evaluated so far (:func:`_predict`), and for
+    most searches it is the last.  The active set comes from the kernel's
+    values at the boundary point, so nothing is evaluated after the kernel
+    returns.
 
     Given ``eps``, an ``xbar`` with ``violation <= eps`` is not searched and
     the result has no crossing (see :class:`GaugeResult`).  Any other
@@ -380,7 +385,7 @@ def _boundary_crossings(
     P[:, k] = x0
     narrow = 0 < k <= _ROUND_POINTS // 3
     if narrow:  # x0 and the first ends are each ray's values at [0, 1]
-        rays = [_Ray(0.0, 1.0, -math.inf, 0, k, r, r) for r in range(k)]
+        rays = [_Ray(0.0, 1.0, -math.inf, 0, [(0.0, k), (1.0, r)], r) for r in range(k)]
         G, f_hi = _round(cons, x0, Dt, rays, False, P)
     else:
         G = _constraint_rows(cons, P.T)
@@ -404,7 +409,8 @@ def _boundary_crossings(
         if narrow:  # a ray that doubles plans its first round afresh
             for r, g in zip(idx.tolist(), Gd.T.tolist()):
                 ray = rays[r]
-                ray.lo, ray.hi, ray.g_lo, ray.g_hi = ray.hi, 2.0 * ray.hi, ray.g_hi, g
+                ray.lo, ray.hi = ray.hi, 2.0 * ray.hi
+                ray.pts = [ray.pts[1], (ray.hi, g), ray.pts[0], *ray.pts[2:4]]
                 ray.plan = None
         need[idx] = _row_max(Gd) <= 0.0
     ok = searched & ~need
@@ -454,25 +460,49 @@ def _tree_brackets(depth: int) -> tuple[tuple[int, int], ...]:
     return tuple(brackets[:2 ** depth - 1])
 
 
-def _predict(a: float, b: float, c, ga, gb, gc) -> float | None:
-    """The crossing predicted in ``[a, b]`` from the per-constraint values
-    ``ga``, ``gb`` at its ends and ``gc`` at ``c``, the end last given up
-    (``None`` if unknown): the smallest root over the ``g_j`` that cross
-    zero there, each by inverse quadratic interpolation through the three
-    points where that root lies in ``[a, b]``, else by the secant through
-    the two ends.  ``None`` when some end's values are unknown or, as at a
-    domain edge, not finite."""
+def _predict(a: float, b: float, pts: list) -> float | None:
+    """The crossing predicted in ``[a, b]`` from a ray's kept points
+    ``pts``, ``(t, per-constraint values)`` with the ends ``a`` and ``b``
+    first (see :class:`_Ray`): the smallest root over the ``g_j`` that cross
+    zero there, ``g_j(a) <= 0 < g_j(b) < inf``.  Each is the root of the
+    polynomial through the points where ``g_j`` is finite and ``t`` is new,
+    by Newton steps from the secant root through the two ends, which stands
+    where that root is not in ``[a, b]``.  ``None`` when no ``g_j`` crosses
+    there, as at a domain edge."""
     roots = []
-    # unknown ends give no roots; an unknown third point reads w = u, the secant
-    for u, v, w in zip(ga or (), gb or (), gc or ga or ()):
+    ga, gb = pts[0][1], pts[1][1]
+    for j, (u, v) in enumerate(zip(ga, gb)):
         if u <= 0.0 < v < math.inf:
-            t = a - u * (b - a) / (v - u)
-            if w != u and w != v and w < math.inf:  # only distinct values divide
-                q = (a * v / (u - v) * w / (u - w) + b * u / (v - u) * w / (v - w)
-                     + c * u / (w - u) * v / (w - v))
-                t = q if a <= q <= b else t
-            roots.append(t)
+            ts, ys = [a, b], [u, v]
+            for t, g in pts[2:]:
+                if g[j] < math.inf and t not in ts:  # only distinct t divide
+                    ts.append(t)
+                    ys.append(g[j])
+            roots.append(_poly_root(ts, ys, a - u * (b - a) / (v - u), a, b))
     return min(roots, default=None)
+
+
+def _poly_root(ts: list, ys: list, t: float, a: float, b: float) -> float:
+    """The root in ``[a, b]`` of the polynomial through the points ``(ts,
+    ys)``, by Newton steps from ``t`` until one leaves it unchanged, at most
+    ``_NEWTON_STEPS``; ``t`` is returned where they do not end in ``[a,
+    b]``."""
+    c = list(ys)  # divided differences, in place: the Newton form's coefficients
+    for k in range(1, len(ts)):
+        for i in range(len(ts) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (ts[i] - ts[i - k])
+    x = t
+    for _ in range(_NEWTON_STEPS):
+        p, dp = c[-1], 0.0
+        for ti, ci in zip(ts[-2::-1], c[-2::-1]):
+            dp = dp * (x - ti) + p
+            p = p * (x - ti) + ci
+        if not dp:  # a flat polynomial
+            break
+        x, last = x - p / dp, x
+        if x == last:
+            break
+    return x if a <= x <= b else t
 
 
 def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle):
@@ -514,7 +544,7 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle):
             Dt = Dt.compress(keep, axis=1)
     if done == _BISECTIONS:
         return rows
-    live = [_Ray(a, b, fl, done, None, None, r)
+    live = [_Ray(a, b, fl, done, None, r)
             for r, (a, b, fl) in enumerate(zip(lo.tolist(), hi.tolist(), f_lo.tolist()))]
     still_open = _rounds(cons, x0, Dt, live, lo, tol, settle)  # closes rows in lo
     t_lo[rows] = lo
@@ -523,17 +553,35 @@ def _bisect(cons, x0, Dt, rows, t_lo, t_hi, tol, settle):
 
 class _Ray:
     """A row of :func:`_rounds`: its bracket ``[lo, hi]`` after ``n``
-    halvings, ``last`` the end last given up, ``f_lo`` the ``max_j g_j`` at
-    ``lo`` (``-inf`` until a halving lands there), the per-constraint values
-    ``g_*`` at the three (lists, columns of the round's values, or
-    ``None``), its ``row``, which is its column of ``Dt`` and its index in
-    ``t_lo``, and the ``plan`` of its round (see :func:`_round`)."""
+    halvings, ``f_lo`` the ``max_j g_j`` at ``lo`` (``-inf`` until a halving
+    lands there), its last five evaluated points ``pts``, each ``(t,
+    per-constraint values)``, the values a list or a column of the round's
+    values, the ends ``lo`` and ``hi`` first and then the latest others (a
+    wide call's tail keeps none), its ``row``, which is its column of ``Dt``
+    and its index in ``t_lo``, and the ``plan`` of its round (see
+    :func:`_round`)."""
 
-    __slots__ = ("lo", "hi", "last", "f_lo", "n", "g_lo", "g_hi", "g_last", "row", "plan")
+    __slots__ = ("lo", "hi", "f_lo", "n", "pts", "row", "plan")
 
-    def __init__(self, lo, hi, f_lo, n, g_lo, g_hi, row):
-        self.lo, self.hi, self.last, self.f_lo, self.n = lo, hi, None, f_lo, n
-        self.g_lo, self.g_hi, self.g_last, self.row, self.plan = g_lo, g_hi, None, row, None
+    def __init__(self, lo, hi, f_lo, n, pts, row):
+        self.lo, self.hi, self.f_lo, self.n = lo, hi, f_lo, n
+        self.pts, self.row, self.plan = pts, row, None
+
+
+def _kept(pts: list, seen: list, a: float, b: float, G: np.ndarray) -> list:
+    """The points a ray keeps after a round that evaluated ``seen``, ``(t,
+    column of G)`` in order, and left the bracket ``[a, b]``: the points at
+    ``a`` and ``b``, then the three latest others, each with its values as a
+    list."""
+    ends, others = [None, None], []
+    for t, g in [*reversed(seen), *pts]:
+        if t == a and ends[0] is None:
+            ends[0] = (t, g)
+        elif t == b and ends[1] is None:
+            ends[1] = (t, g)
+        elif len(others) < 3:
+            others.append((t, g))
+    return [(t, G[:, g].tolist() if type(g) is int else g) for t, g in ends + others]
 
 
 def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
@@ -541,9 +589,10 @@ def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
     per evaluation, writing each closed row's ``t_lo``; returns the rows
     still open after ``_BISECTIONS`` halvings.  Rows predict only when
     ``at_t`` is given, which then gets each closed row's values at its
-    ``t_lo``.  ``first`` is the first round, if evaluated with the first
-    bracket ends, as :func:`_round` returns it; a row that doubled has no
-    plan there.
+    ``t_lo``, and each open row keeps its last points for the prediction
+    (see :func:`_kept`).  ``first`` is the first round, if evaluated with
+    the first bracket ends, as :func:`_round` returns it; a row that doubled
+    has no plan there.
 
     The halvings are replayed on Python floats, which round as float64
     does, each deciding on the value at its own midpoint ``m = 0.5 * (lo +
@@ -563,8 +612,8 @@ def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
         F = F.tolist()
         nxt = []
         for ray in live:
-            a, b, c, fl, n = ray.lo, ray.hi, ray.last, ray.f_lo, ray.n
-            ga, gb, gc, r = ray.g_lo, ray.g_hi, ray.g_last, ray.row
+            a, b, fl, n, r = ray.lo, ray.hi, ray.f_lo, ray.n, ray.row
+            ga, seen = None, []  # lo's column, once a halving lands there; (m, column)s
             closed = False
             if ray.plan is not None:
                 tree, size, path, end, p = ray.plan
@@ -574,11 +623,12 @@ def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
                     m = 0.5 * (a + b)
                     f = F[col]
                     n += 1
+                    seen.append((m, col))
                     above = f > 0.0
                     if above:
-                        c, gc, b, gb = b, gb, m, col
+                        b = m
                     else:
-                        c, gc, a, ga, fl = a, ga, m, col, f
+                        a, ga, fl = m, col, f
                     if not (b - a > tol * b or settle and fl < -BOUNDARY_TOL):
                         closed = True
                         break
@@ -597,14 +647,14 @@ def _rounds(cons, x0, Dt, live, t_lo, tol, settle, at_t=None, first=None):
             if closed:
                 t_lo[r] = a
                 if at_t is not None:
-                    at_t[r] = G[:, ga].tolist() if type(ga) is int else ga
+                    g = ray.pts[0][1] if ga is None else ga
+                    at_t[r] = G[:, g].tolist() if type(g) is int else g
             elif n == _BISECTIONS:
                 still_open.append(r)
             else:
-                ray.lo, ray.hi, ray.last, ray.f_lo, ray.n = a, b, c, fl, n
-                if at_t is not None:  # the round's columns become lists
-                    ray.g_lo, ray.g_hi, ray.g_last = (
-                        G[:, g].tolist() if type(g) is int else g for g in (ga, gb, gc))
+                ray.lo, ray.hi, ray.f_lo, ray.n = a, b, fl, n
+                if at_t is not None:
+                    ray.pts = _kept(ray.pts, seen, a, b, G)
                 nxt.append(ray)
         live, G = nxt, None
     return still_open
@@ -619,16 +669,16 @@ def _round(cons, x0, Dt, live, predict, lead=None):
     ``L`` of the round's points.  Each of ``R`` rows gets ``B`` of the rest:
     without a prediction (the first round, a wide call's tail, a domain
     edge) the tree of ``d`` halvings, the most with ``2^d - 1 <= B``; with
-    one, that tree one level shallower and below it the midpoints bisection
-    visits if ``p`` is right, so a row gains at least ``d - 1`` halvings a
-    round."""
+    one, from :func:`_predict` on the row's kept points, that tree one level
+    shallower and below it the midpoints bisection visits if ``p`` is right,
+    so a row gains at least ``d - 1`` halvings a round."""
     start = 0 if lead is None else lead.shape[1]
     b_row = (_ROUND_POINTS - start) // len(live)
     d = (b_row + 1).bit_length() - 1
     T, reps = [], [0] * Dt.shape[1]  # reps[r]: points of row r
     for ray in live:
         a, b, n = ray.lo, ray.hi, ray.n
-        p = _predict(a, b, ray.last, ray.g_lo, ray.g_hi, ray.g_last) if predict else None
+        p = _predict(a, b, ray.pts) if predict else None
         depth = min(d - (p is not None), _BISECTIONS - n)
         tree = len(T)
         T += _tree(a, b, depth)

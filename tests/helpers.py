@@ -22,7 +22,32 @@ from gaugecut import (
     load_problem,
     lp_solve,
 )
-from gaugecut.expr import Add, Const, Div, EvalResult, Func, Mul, Neg, Pow, Sub, Var, render
+from gaugecut.expr import (
+    _ADD,
+    _CONST,
+    _DIV,
+    _EXP,
+    _LOG,
+    _MUL,
+    _NEG,
+    _POW_FRAC,
+    _SUB,
+    _VAR,
+    Add,
+    Const,
+    Div,
+    EvalResult,
+    Func,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    _domain_check,
+    _forward,
+    _tape,
+    render,
+)
 from gaugecut.model import constraint_values as _REFERENCE_VALUES
 from gaugecut.separation import _BISECTIONS, _DOUBLINGS, _ROUND_POINTS, BOUNDARY_TOL
 from gaugecut.separation import _fmax_rows as _REFERENCE_FMAX
@@ -454,6 +479,67 @@ def reference_eval_grad(e, x) -> EvalResult:
     with np.errstate(over="ignore", invalid="ignore"):
         v = float(np.ravel(_ref_value(e, x_arr[None, :], vals))[0])
         _ref_grad(e, vals, 1.0, g)
+    if not (np.isfinite(v) and np.all(np.isfinite(g[0]))):
+        raise EvalDomainError("evaluation overflowed to a non-finite value", render(e))
+    return EvalResult(value=v, gradient=g[0])
+
+
+def _plain_reverse(code: list, vals: list, G: np.ndarray) -> None:
+    """The reverse sweep over a plain tape, one node at a time, in pre-order
+    (node, left subtree, right subtree): the sweep the blocked one must
+    match bit for bit."""
+    stack = [(len(code) - 1, 1.0)]
+    push = stack.append
+    while stack:
+        k, bar = stack.pop()
+        op, arg, node, kids = code[k]
+        if op == _VAR:
+            G[:, arg] += bar
+        elif op == _CONST:
+            pass
+        elif op <= _DIV:
+            left, right = kids
+            if op == _ADD:
+                bar_l, bar_r = bar, bar
+            elif op == _SUB:
+                bar_l, bar_r = bar, -bar
+            elif op == _MUL:
+                bar_l, bar_r = bar * vals[right], bar * vals[left]
+            else:
+                bar_l = bar / vals[right]
+                bar_r = -bar_l * vals[k]
+            push((right, bar_r))
+            push((left, bar_l))
+        else:
+            (kid,) = kids
+            if op == _NEG:
+                push((kid, -bar))
+            elif op <= _POW_FRAC:
+                if arg != 0.0:
+                    a = vals[kid]
+                    if op == _POW_FRAC:
+                        _domain_check(a > 0.0, "fractional power of zero in a derivative", node)
+                    push((kid, bar * (arg * a ** (arg - 1.0))))
+            elif op == _EXP:
+                push((kid, bar * vals[k]))
+            elif op == _LOG:
+                push((kid, bar / vals[kid]))
+            else:
+                message = "sqrt of a non-positive value in a derivative"
+                _domain_check(vals[kid] > 0.0, message, node)
+                push((kid, bar * (0.5 / vals[k])))
+
+
+def plain_eval_grad(e, x) -> EvalResult:
+    """Test-only reference for ``eval_grad``: both sweeps over the plain
+    tape, one node at a time."""
+    x_arr = np.asarray(x, dtype=float)
+    code = _tape(e).plain
+    vals: list = []
+    g = np.zeros((1, x_arr.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(np.ravel(_forward(code, x_arr[None, :], vals))[0])
+        _plain_reverse(code, vals, g)
     if not (np.isfinite(v) and np.all(np.isfinite(g[0]))):
         raise EvalDomainError("evaluation overflowed to a non-finite value", render(e))
     return EvalResult(value=v, gradient=g[0])

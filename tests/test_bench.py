@@ -170,3 +170,26 @@ def test_compare_prints_src_bytes_and_bytecode_beside_setup(tmp_path):
         "runs": _runs(0, 1, [with_setup(2.0, 0.3)]) + _runs(1, 1, [with_setup(1.9, 0.29)])}))
     (setup,) = [line for line in _compare(path) if "setup_s" in line]
     assert setup.endswith("; src bytes parent 1000, change 990, PYTHONDONTWRITEBYTECODE=1")
+
+
+def test_compare_prints_path_lengths_beside_peak_rss_and_flags_a_difference(tmp_path):
+    def with_rss(cost, rss):
+        r = _result(cost)
+        r["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+        return r
+
+    runs = _runs(0, 1, [with_rss(2.0, 39.2)]) + _runs(1, 1, [with_rss(1.9, 39.4)])
+    for lengths, tail in (((20, 20), "; checkout path length parent 20, change 20"),
+                          ((20, 18), "; checkout path length parent 20, change 18 "
+                                     "(DIFFER: peak RSS moves with it)")):
+        sides = [{"commit": c, "signatures": None, "src_bytes": 100, "path_length": n}
+                 for c, n in zip("ab", lengths)]
+        path = _write(tmp_path / f"BENCH_rss{lengths[1]}.json", sides, runs)
+        lines = _compare(path)
+        (rss,) = [line for line in lines if "peak_rss_mb" in line]
+        assert rss.endswith(tail)
+        assert not any("path length" in line for line in lines if "peak_rss_mb" not in line)
+    # files written before path lengths were recorded print none
+    sides = [{"commit": c, "signatures": None} for c in "ab"]
+    lines = _compare(_write(tmp_path / "BENCH_old.json", sides, runs))
+    assert not any("path length" in line for line in lines)

@@ -18,6 +18,7 @@ from gaugecut import (
 )
 from gaugecut.expr import (
     _CHECKED,
+    _FOLD,
     _POW_FRAC,
     MAX_NESTING,
     Add,
@@ -29,10 +30,17 @@ from gaugecut.expr import (
     Pow,
     Sub,
     Var,
+    _forward,
     _postorder,
     _tape,
 )
-from helpers import make_ball_exp, random_psd_quadratic, reference_eval_grad, reference_eval_value
+from helpers import (
+    make_ball_exp,
+    plain_eval_grad,
+    random_psd_quadratic,
+    reference_eval_grad,
+    reference_eval_value,
+)
 
 XY = ("x", "y")
 
@@ -566,6 +574,97 @@ def test_every_block_holds_at_most_one_check_and_no_negative_fractional_power():
             X = rng.uniform(float(rng.choice([-0.3, 0.05])), 2.5, size=(3, 7))
             assert _outcome(eval_value, e, X) == _outcome(reference_eval_value, e, X), src
     assert checked >= 50  # blocks with a check are exercised
+
+
+# like-term sums whose gradients run blocks, each with the derivative domain
+# error it must raise at a point with x1 = 0, or None
+BLOCKED_GRADIENTS = [
+    # an index repeated within a slot (x0) and across slots (x1 and x2)
+    ("2 * (x0 * x1) + 3 * (x0 * x2) + 4 * (x0 * x3)", None),
+    ("x0 * x1 + x1 * x2 + x2 * x1 + x1 * x1 - x3", None),
+    ("x0 ^ 2 + x0 ^ 2 + x0 ^ 2", None),
+    # - chains with and without a head term
+    ("x0 ^ 2 - x1 ^ 2 - x2 ^ 2 - x3 ^ 2", None),
+    ("1 - exp(0.5 * x0) - exp(0.5 * x1) - exp(0.5 * x2)", None),
+    ("x4 - x0 / x5 - x1 / x5 - x2 / x6 + x3", None),
+    # two runs in one chain, and runs inside a function argument
+    ("x0 ^ 2 + x1 ^ 2 + x2 ^ 2 + exp(x3) + exp(x4) + exp(x5)", None),
+    ("exp(x0 ^ 2 + x1 ^ 2 + x2 ^ 2) + log(1 + x3 * x4 + x4 * x5 + x5 * x6)", None),
+    ("x6 * sqrt(1 + (x0 - x3) ^ 2 + (x1 - x4) ^ 2 + (x2 - x5) ^ 2)", None),
+    # ^ 0 terms: their leaves get no adjoint, and their derivatives no check
+    ("x0 ^ 0 + x1 ^ 0 + x2 ^ 0 + x3", None),
+    ("sqrt(x0) ^ 0 + sqrt(x1) ^ 0 + sqrt(x2) ^ 0", None),
+    ("(x0 * x1) ^ 0 - (x1 * x2) ^ 0 - (x2 * x3) ^ 0 - x4 * x1", None),
+    # derivative domain errors name the first failing term
+    ("sqrt(x0) + sqrt(x1) + sqrt(x2)", "sqrt(x1)"),
+    ("2 - x0 ^ 0.5 - x1 ^ 0.5 - x2 ^ 0.5", "x1 ^ 0.5"),
+    ("x0 + x3 * x1 ^ 1.5 + x3 * x2 ^ 1.5 + x3 * x1 ^ 1.5", "x1 ^ 1.5"),
+]
+
+
+def _blocked_outcomes(e, points):
+    """The outcomes of ``eval_grad`` and of the plain sweeps at ``points``,
+    once ``e``'s blocked tape is known to hold a block."""
+    assert any(op == _FOLD for op, _, _, _ in _tape(e).blocked), render(e)
+    for x in points:
+        yield _outcome(eval_grad, e, x), _outcome(plain_eval_grad, e, x)
+
+
+@pytest.mark.parametrize("source,fails_at", BLOCKED_GRADIENTS)
+def test_blocked_gradients_are_the_plain_sweeps_bit_for_bit(source, fails_at):
+    e = parse(source, NAMES7)
+    rng = np.random.default_rng(29)
+    points = list(rng.uniform(0.05, 2.5, size=(5, 7)))
+    zero = points[0].copy()
+    zero[1] = 0.0
+    for got, expect in _blocked_outcomes(e, points + [zero]):
+        assert got == expect, source
+    if fails_at:
+        assert _outcome(eval_grad, e, zero)[2] == fails_at
+    else:
+        assert np.isfinite(eval_grad(e, zero).gradient).all()
+
+
+def test_two_runs_of_a_quadratic_form_get_the_plain_gradient():
+    # at n = 4: the runs 2 a_01 x0 x1 + 2 a_02 x0 x2 + 2 a_03 x0 x3 and
+    # b_0 x0 + ... + b_3 x3 in one chain, each with its own block
+    rng = np.random.default_rng(31)
+    for k in range(20):
+        e = random_psd_quadratic(rng, 4, singular=k % 2 == 0, b_in_range=k % 3 > 0).to_expr()
+        assert sum(op == _FOLD for op, _, _, _ in _tape(e).blocked) == 2
+        for got, expect in _blocked_outcomes(e, rng.uniform(-2.0, 2.0, size=(3, 4))):
+            assert got == expect, render(e)
+
+
+def test_like_term_sum_gradients_are_the_plain_sweeps_bit_for_bit():
+    rng = np.random.default_rng(37)
+    outcomes = {"value": 0, "value domain": 0, "derivative domain": 0}
+    for _ in range(200):
+        e = parse(_like_term_sum(rng), NAMES7)
+        if not any(op == _FOLD for op, _, _, _ in _tape(e).blocked):
+            continue
+        X = rng.uniform(float(rng.choice([-0.3, 0.05])), 2.5, size=(3, 7))
+        X[rng.random(X.shape) < 0.1] = 0.0  # at 0, sqrt and fractional powers have no derivative
+        for got, expect in _blocked_outcomes(e, X):
+            assert got == expect, render(e)
+            if got[0] != "error":
+                outcomes["value"] += 1
+            else:
+                outcomes["derivative domain" if "derivative" in got[1] else "value domain"] += 1
+    assert min(outcomes.values()) >= 15, outcomes  # every outcome is exercised
+
+
+def test_a_fold_leaves_its_block_values_as_recorded():
+    # the fold adds the running sum 1 into its block's column 0; the block
+    # is the recorded value of exp, which the reverse sweep reads
+    e = parse("1 + exp(x0) + exp(x1) + exp(x2)", NAMES7)
+    code = _tape(e).blocked
+    X = np.full((1, 7), 0.5)
+    slots: list = []
+    _forward(code, X, slots)
+    fold = [op for op, _, _, _ in code].index(_FOLD)
+    assert slots[fold - 1].tobytes() == np.exp(X[:, :3]).tobytes()
+    assert eval_grad(e, X[0]).gradient[:3].tobytes() == np.exp(X[0, :3]).tobytes()
 
 
 def _looped(exprs, x):

@@ -163,10 +163,10 @@ def test_line_search_evaluation_budget(monkeypatch):
     monkeypatch.setattr(separation, "max_violation", counting(separation.max_violation))
     gr = line_search_boundary(make_circle().constraints, ORIGIN, [1.5, 1.5])
     # xbar, x0 and the 31-point tree of the first five halvings together,
-    # then about 25 halvings in two rounds of at most _ROUND_POINTS
-    # midpoints; one constraint needs no evaluation for the active set
-    assert len(calls) <= 3
-    assert calls[0] == 33 and max(calls) <= separation._ROUND_POINTS
+    # then the other 25 or so halvings in one round of _ROUND_POINTS
+    # midpoints, on the path the prediction, exact on a quadratic ray, lays;
+    # one constraint needs no evaluation for the active set
+    assert calls == [33, separation._ROUND_POINTS]
     assert gr.lambda_star.hex() == "0x1.e2b7dddc00000p-2"
 
 
@@ -576,6 +576,74 @@ def test_a_row_out_of_halvings_inside_a_path_round_is_not_ok(monkeypatch, settle
     assert_same_crossings(got, ref)
     assert not got[1][0]
     assert 31 < sizes[-1] < separation._ROUND_POINTS
+
+
+def _points(cons, x0, d, ts):
+    """The points a ray keeps, ``(t, per-constraint values)`` at ``x0 + t
+    d`` for each ``t`` of ``ts``, the bracket ends first."""
+    return [(t, constraint_values(cons, t * d + x0).tolist()) for t in ts]
+
+
+def test_a_quadratic_ray_is_predicted_to_rounding():
+    # from the centre, |x|^2 - 1 is the quadratic |d|^2 t^2 - 1 along the
+    # ray: the polynomial through three or more kept points is that
+    # quadratic, so its root is the crossing 1 / |d| to rounding
+    cons = make_circle().constraints
+    d = np.array([1.5, 1.5])
+    crossing = 1.0 / math.hypot(1.5, 1.5)
+    for ts in ([0.46875, 0.5, 0.4375, 0.375, 0.25], [0.375, 0.5, 0.25],
+               [0.0, 1.0, 0.5, 0.25, 0.375], [0.4375, 2.0, 1.0, 0.5]):
+        p = separation._predict(ts[0], ts[1], _points(cons, ORIGIN, d, ts))
+        assert abs(p - crossing) <= 4 * math.ulp(crossing), ts
+    # two points give the secant root only
+    (lo, g_lo), (hi, g_hi) = _points(cons, ORIGIN, d, [0.25, 1.0])
+    secant = lo - g_lo[0] * (hi - lo) / (g_hi[0] - g_lo[0])
+    assert separation._predict(lo, hi, [(lo, g_lo), (hi, g_hi)]) == secant
+
+
+def test_a_non_monotone_row_is_predicted_in_its_bracket(monkeypatch):
+    # from (1.5, 0) toward the hole, the annulus's g is the quartic
+    # ((1.5 - t)^2 - 1) ((1.5 - t)^2 - 4): it rises through 0 at t = 0.5,
+    # peaks at t = 1.5 and falls through 0 at t = 2.5, and the five points
+    # below determine it, so its root in [0.25, 1] is 0.5 to rounding
+    p = make_annulus()
+    d = np.array([-1.0, 0.0])
+    pts = _points(p.constraints, p.interior_point, d, [0.25, 1.0, 2.0, 3.0, 0.0])
+    values = [g[0] for _, g in pts]
+    assert values[0] < 0.0 < values[1] and values[2] > 0.0 > values[3]
+    assert abs(separation._predict(0.25, 1.0, pts) - 0.5) <= 4 * math.ulp(0.5)
+    # in the kernel, every prediction on its rays lies in its bracket
+    predicted = []
+    original = separation._predict
+
+    def recorded(a, b, pts):
+        t = original(a, b, pts)
+        predicted.append((a, b, t))
+        return t
+
+    monkeypatch.setattr(separation, "_predict", recorded)
+    _boundary_crossings(p.constraints, p.interior_point, _rays(p, 21, seed=3), tol=1e-9,
+                        settle=True)
+    assert len(predicted) >= 21
+    assert all(a <= t <= b for a, b, t in predicted if t is not None)
+
+
+def test_repeated_points_and_infinite_values_stay_out_of_the_fit():
+    # a collapsed bracket: its midpoints repeat its ends, which would
+    # divide by zero in the fit
+    a, b = 1.0, math.nextafter(1.0, 2.0)
+    pts = [(a, [-1e-16]), (b, [3e-16]), (a, [-1e-16]), (b, [3e-16]), (0.5, [-0.5])]
+    t = separation._predict(a, b, pts)
+    assert t == separation._predict(a, b, [pts[0], pts[1], pts[4]])
+    assert a <= t <= b
+    # a point outside a domain reads +inf in every constraint: it is left
+    # out of the fit, and an end there predicts nothing for that constraint
+    pts = [(0.5, [-0.25, -1.0]), (1.0, [0.5, math.inf]), (0.75, [math.inf, math.inf]),
+           (0.625, [0.1, -0.9])]
+    assert separation._predict(0.5, 1.0, pts) == separation._predict(
+        0.5, 1.0, [pts[0], pts[1], pts[3]])
+    assert separation._predict(0.5, 1.0, [(0.5, [-1.0]), (1.0, [math.inf])]) is None
+    assert separation._predict(0.5, 1.0, [(0.5, [0.5]), (1.0, [1.0])]) is None
 
 
 # ---------------------------------------------------------------------------
