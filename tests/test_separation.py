@@ -164,8 +164,8 @@ def test_line_search_evaluation_budget(monkeypatch):
     gr = line_search_boundary(make_circle().constraints, ORIGIN, [1.5, 1.5])
     # xbar, x0 and the 31-point tree of the first five halvings together,
     # then the other 25 or so halvings in one round of _ROUND_POINTS
-    # midpoints, on the path the prediction, exact on a quadratic ray, lays;
-    # one constraint needs no evaluation for the active set
+    # midpoints, along the path of the prediction, which is exact on this
+    # quadratic ray; one constraint needs no evaluation for the active set
     assert calls == [33, separation._ROUND_POINTS]
     assert gr.lambda_star.hex() == "0x1.e2b7dddc00000p-2"
 
